@@ -124,7 +124,7 @@ def _run_braid(config: RunConfig, spec: ModelSpec) -> str:
     k0 = float(opt.get("k0", 0.0))
     traj = track_bands(spec, k0, int(opt.get("samples", 512)))
     word = extract_braid_word(traj)
-    index = total_braid_index(spec, k0=k0 if spec.kind == "trimer" else np.pi / 4)
+    index = total_braid_index(spec, k0=k0)
     doc = {
         "word": word_to_text(word),
         "word_canonical": word_to_text(cyclic_canonical(word)),

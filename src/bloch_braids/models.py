@@ -23,6 +23,13 @@ coordinate z, where each e^{ik} is replaced by z (so e^{-imk} -> z^{-m});
 on the unit circle z = e^{ik} this reproduces the momentum-space matrix.
 Momentum is measured in units of the inverse lattice constant, so the zone
 has period 2*pi.
+
+Each family's H(z) is written once, in the kernel section of this
+module, next to one rule from entries to characteristic coefficients and
+one discriminant rule; every grid, determinant, discriminant and scalar
+evaluator of the package derives from them. :meth:`ModelSpec.fourier_terms`
+and :func:`characteristic_coefficients` state the same objects by other
+routes and are kept as independent references for the tests.
 """
 
 from __future__ import annotations
@@ -183,8 +190,9 @@ class ModelSpec:
         """The model as a Fourier sum sum_n A_n e^{ink}.
 
         The dimer's 2*delta*sin(mk) diagonal is stored as
-        -i*delta*(e^{imk} - e^{-imk}) so that substituting e^{ik} -> z is the
-        single evaluation rule for every entry.
+        -i*delta*(e^{imk} - e^{-imk}). For the dimer and trimer this is an
+        independent statement of the kernel's entry formulas, which tests
+        compare against it.
         """
         if self.kind == "dimer":
             p = self.params
@@ -283,34 +291,95 @@ class BlochMatrix:
         return self.entries.shape[0]
 
 
+# -- the kernel ------------------------------------------------------------
+#
+# Each family's H(z) is written once, with arithmetic operators only and with
+# z entering the dimer and trimer only through w = z**m and 1/w. The same
+# formulas therefore evaluate Python complex scalars (crossing bisection),
+# numpy grids, parameter arrays broadcast against sample arrays (the dimer
+# row engine) and Laurent polynomials (exact z-plane discriminants). Entries
+# come back as rows, ``e[i][j]``; an entry may be a plain number where it
+# does not depend on z.
+
+def _dimer_entries(alpha, beta, delta, gamma, w):
+    """Rows of the dimer H at w = z**m."""
+    return ((-1j * delta * (w - 1.0 / w) + 1j * gamma, alpha + beta / w),
+            (alpha + beta * w, -1j * gamma))
+
+
+def _trimer_entries(alpha, beta, delta, gamma, v, w):
+    """Rows of the trimer H at w = z**m."""
+    return ((1j * delta * (w * w - 1.0 / (w * w)) + 1j * gamma, alpha, beta / w),
+            (alpha, v, alpha),
+            (beta * w, alpha, -1j * gamma))
+
+
+def _fourier_entries(terms, z):
+    """Rows of sum_n A_n z^n for a generic model."""
+    n = terms[0].matrix.shape[0]
+    powers = [z ** t.n for t in terms]
+    return tuple(tuple(sum(t.matrix[i, j] * zn for t, zn in zip(terms, powers))
+                       for j in range(n))
+                 for i in range(n))
+
+
+def _entries(spec: ModelSpec, z):
+    """Rows of H(z) for any model; ``z`` may be a scalar, an array or a Laurent monomial."""
+    p = spec.params
+    if spec.kind == "dimer":
+        return _dimer_entries(p.alpha, p.beta, p.delta, p.gamma, z ** p.m)
+    if spec.kind == "trimer":
+        return _trimer_entries(p.alpha, p.beta, p.delta, p.gamma, p.v, z ** p.m)
+    return _fourier_entries(p.terms, z)
+
+
+def _char_coeffs(e):
+    """Monic characteristic coefficients (c_{N-1}, ..., c_0) of a 2x2 or 3x3 H.
+
+    det(E - H) = E^N + c_{N-1} E^{N-1} + ... + c_0: minus the trace, the sum
+    of principal 2x2 minors (N = 3), and (-1)^N det H.
+    """
+    if len(e) == 2:
+        (e11, e12), (e21, e22) = e
+        return -(e11 + e22), e11 * e22 - e12 * e21
+    (e11, e12, e13), (e21, e22, e23), (e31, e32, e33) = e
+    minors = (e11 * e22 - e12 * e21) + (e11 * e33 - e13 * e31) + (e22 * e33 - e23 * e32)
+    det = (e11 * (e22 * e33 - e23 * e32)
+           - e12 * (e21 * e33 - e23 * e31)
+           + e13 * (e21 * e32 - e22 * e31))
+    return -(e11 + e22 + e33), minors, -det
+
+
+def _det_minus(e, energy):
+    """det(H - energy) of a 2x2 or 3x3 H, from its entries."""
+    n = len(e)
+    shifted = tuple(tuple(x - energy if i == j else x for j, x in enumerate(row))
+                    for i, row in enumerate(e))
+    return (-1) ** n * _char_coeffs(shifted)[-1]
+
+
+def _disc(coeffs):
+    """Discriminant of the monic quadratic or cubic with the given lower coefficients."""
+    if len(coeffs) == 2:
+        b, c = coeffs
+        return b * b - 4.0 * c
+    b, c, d = coeffs
+    return 18.0 * b * c * d - 4.0 * b ** 3 * d + b * b * c * c - 4.0 * c ** 3 - 27.0 * d * d
+
+
 def dimer_hamiltonian(p: DimerParams, k: float) -> BlochMatrix:
     """The 2x2 dimer Bloch matrix at real momentum k."""
-    s = 2.0 * p.delta * np.sin(p.m * k)
-    off_minus = p.alpha + p.beta * np.exp(-1j * p.m * k)
-    off_plus = p.alpha + p.beta * np.exp(1j * p.m * k)
-    mat = np.array([[s + 1j * p.gamma, off_minus],
-                    [off_plus, -1j * p.gamma]])
-    return BlochMatrix(mat, k, "k")
+    return bloch_matrix(ModelSpec("dimer", p), k)
 
 
 def trimer_hamiltonian(p: TrimerParams, k: float) -> BlochMatrix:
     """The 3x3 trimer Bloch matrix at real momentum k."""
-    s = -2.0 * p.delta * np.sin(2 * p.m * k)
-    mat = np.array([
-        [s + 1j * p.gamma, p.alpha, p.beta * np.exp(-1j * p.m * k)],
-        [p.alpha, p.v, p.alpha],
-        [p.beta * np.exp(1j * p.m * k), p.alpha, -1j * p.gamma],
-    ])
-    return BlochMatrix(mat, k, "k")
+    return bloch_matrix(ModelSpec("trimer", p), k)
 
 
 def bloch_matrix(spec: ModelSpec, k: float) -> BlochMatrix:
     """Evaluate any model at real momentum k."""
-    if spec.kind == "dimer":
-        return dimer_hamiltonian(spec.params, k)
-    if spec.kind == "trimer":
-        return trimer_hamiltonian(spec.params, k)
-    return bloch_matrix_z(spec, np.exp(1j * k))
+    return BlochMatrix(np.array(_entries(spec, np.exp(1j * k)), dtype=complex), k, "k")
 
 
 def bloch_matrix_z(spec: ModelSpec, z: complex) -> BlochMatrix:
@@ -321,14 +390,9 @@ def bloch_matrix_z(spec: ModelSpec, z: complex) -> BlochMatrix:
     Fourier exponents (the matrix has a pole there).
     """
     z = complex(z)
-    terms = spec.fourier_terms()
-    if z == 0 and any(t.n < 0 for t in terms):
+    if z == 0 and any(t.n < 0 for t in spec.fourier_terms()):
         raise ZeroModulus("z = 0 is a pole of this model (negative Fourier exponents)")
-    n = spec.n_bands
-    mat = np.zeros((n, n), dtype=complex)
-    for t in terms:
-        mat += t.matrix * z ** t.n
-    return BlochMatrix(mat, z, "z")
+    return BlochMatrix(np.array(_entries(spec, z), dtype=complex), z, "z")
 
 
 def characteristic_coefficients(matrix) -> np.ndarray:

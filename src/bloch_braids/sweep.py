@@ -8,7 +8,10 @@ the batch cannot settle (base-point ties, refinement failures, coincident
 crossings) fall back to the scalar classifier.
 
 Only dimer-family sweeps take this path; three-band and generic sweeps use
-the per-cell route, whose grids are small in practice.
+the per-cell route, whose grids are small in practice. The entries, the
+eigenvalue pair and det(H - E_ref) come from the same model kernel as the
+per-cell route, evaluated on parameter arrays of shape (cells, 1) against
+samples of shape (1, samples); the two branches stay separate arrays.
 """
 
 from __future__ import annotations
@@ -16,22 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from .braid import BraidWord, Permutation
-from .spectrum import DEGENERACY_RTOL, TRACK_SAMPLES_DEFAULT
+from .models import _det_minus, _dimer_entries
+from .spectrum import DEGENERACY_RTOL, TRACK_SAMPLES_DEFAULT, _quadratic
 
 __all__ = ["dimer_row_classify", "dimer_winding_row"]
 
 _TWO_PI = 2.0 * np.pi
 _BISECTION_WIDTH = 2.0 * np.pi * 1e-6
-
-
-def _dimer_raw_pair(alpha, beta, delta, gamma, m, t):
-    """Both dimer eigenvalue branches, broadcast over parameters and t."""
-    w = np.exp(1j * m * t)
-    e11 = -1j * delta * (w - 1.0 / w) + 1j * gamma
-    e22 = -1j * gamma
-    mean = 0.5 * (e11 + e22)
-    off = np.sqrt((0.5 * (e11 - e22)) ** 2 + (alpha + beta / w) * (alpha + beta * w) + 0j)
-    return mean - off, mean + off
 
 
 def dimer_row_classify(alpha, beta, delta, gamma, m: int, *, k0: float,
@@ -54,7 +48,7 @@ def dimer_row_classify(alpha, beta, delta, gamma, m: int, *, k0: float,
     g = gamma[:, None]
     t = k0 + np.linspace(0.0, _TWO_PI, samples + 1)[None, :]
 
-    r0, r1 = _dimer_raw_pair(a, b, d, g, m, t)
+    r0, r1 = _quadratic(_dimer_entries(a, b, d, g, np.exp(1j * m * t)))
     scale = 1.0 + np.maximum(np.abs(r0), np.abs(r1)).max(axis=1)
     gap = np.abs(r0 - r1)
     gap_min = gap.min(axis=1)
@@ -111,7 +105,7 @@ def dimer_row_classify(alpha, beta, delta, gamma, m: int, *, k0: float,
         eg = gamma[ev_cell]
         while (tr - tl).max() > _BISECTION_WIDTH:
             tm = 0.5 * (tl + tr)
-            m0, m1 = _dimer_raw_pair(ea, eb, ed, eg, m, tm)
+            m0, m1 = _quadratic(_dimer_entries(ea, eb, ed, eg, np.exp(1j * m * tm)))
             cost_keep = np.abs(m0 - e0) + np.abs(m1 - e1)
             cost_swap = np.abs(m1 - e0) + np.abs(m0 - e1)
             sw = cost_swap < cost_keep
@@ -125,7 +119,7 @@ def dimer_row_classify(alpha, beta, delta, gamma, m: int, *, k0: float,
             e1 = np.where(go_left, em1, e1)
             dl = np.where(go_left, dm, dl)
         tm = 0.5 * (tl + tr)
-        m0, m1 = _dimer_raw_pair(ea, eb, ed, eg, m, tm)
+        m0, m1 = _quadratic(_dimer_entries(ea, eb, ed, eg, np.exp(1j * m * tm)))
         sw = (np.abs(m1 - e0) + np.abs(m0 - e1)) < (np.abs(m0 - e0) + np.abs(m1 - e1))
         em0 = np.where(sw, m1, m0)
         em1 = np.where(sw, m0, m1)
@@ -179,10 +173,7 @@ def dimer_winding_row(alpha, beta, delta, gamma, m: int, e_ref: complex = 0j,
         d = delta[todo][:, None]
         g = gamma[todo][:, None]
         t = np.linspace(0.0, _TWO_PI, k + 1)[None, :]
-        w = np.exp(1j * m * t)
-        e11 = -1j * d * (w - 1.0 / w) + 1j * g - e_ref
-        e22 = -1j * g - e_ref
-        det = e11 * e22 - (a + b / w) * (a + b * w)
+        det = _det_minus(_dimer_entries(a, b, d, g, np.exp(1j * m * t)), e_ref)
         mags = np.abs(det)
         on_band = mags.min(axis=1) < 1e-12 * (1.0 + mags.max(axis=1))
         steps = np.diff(np.angle(det), axis=1)

@@ -11,6 +11,7 @@ phase and the trivial (small gain-loss) regime.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import warnings
@@ -23,8 +24,10 @@ from .braid import Permutation, cyclic_canonical, exponent_sum, extract_braid_wo
 from .errors import (DegenerateCrossing, DegeneracyEncountered, DegenerateModel,
                      NonConvergent, ReferenceOnBand, RefinementExhausted,
                      UnresolvedCrossing, UnsupportedDegree)
-from .models import DimerParams, ModelSpec, bloch_matrix_z
-from .spectrum import _det_grid, _eig_grid, eigenvalues, track_bands
+from .models import (DimerParams, ModelSpec, _char_coeffs, _disc, _entries, bloch_matrix,
+                     bloch_matrix_z)
+from .spectrum import (_det_grid, _eig_grid, _raw_scalar_factory, _roots_scalar, eigenvalues,
+                       track_bands)
 
 __all__ = [
     "discriminant",
@@ -70,11 +73,7 @@ def discriminant(coefficients) -> complex:
         raise UnsupportedDegree(f"need degree 2 or 3, got {coeffs.shape[0] - 1 if coeffs.ndim == 1 else '?'}")
     if coeffs[0] != 1.0:
         raise ValueError(f"polynomial must be monic, got leading coefficient {coeffs[0]}")
-    if coeffs.shape[0] == 3:
-        b, c = coeffs[1], coeffs[2]
-        return complex(b * b - 4.0 * c)
-    b, c, d = coeffs[1], coeffs[2], coeffs[3]
-    return complex(18.0 * b * c * d - 4.0 * b ** 3 * d + b * b * c * c - 4.0 * c ** 3 - 27.0 * d * d)
+    return complex(_disc(tuple(coeffs[1:])))
 
 
 def dimer_ep_lines(alpha: float, beta: float, m: int = 1) -> tuple[tuple[float, float], ...]:
@@ -133,59 +132,12 @@ class ExceptionalPoint:
         return float(self.location.real)
 
 
-def _char_coeff_grid(spec: ModelSpec, tvals) -> np.ndarray:
-    """Monic characteristic coefficients over a k grid, shape (T, N+1)."""
-    n = spec.n_bands
-    if spec.kind == "dimer":
-        p = spec.params
-        z = np.exp(1j * np.asarray(tvals, dtype=float))
-        w = z ** p.m
-        e11 = -1j * p.delta * (w - 1.0 / w) + 1j * p.gamma
-        e22 = -1j * p.gamma
-        tr = e11 + e22
-        det = e11 * e22 - (p.alpha + p.beta / w) * (p.alpha + p.beta * w)
-        ones = np.ones_like(tr)
-        return np.stack([ones, -tr, det], axis=-1)
-    if spec.kind == "trimer":
-        from .spectrum import _trimer_coeff_grid
-        z = np.exp(1j * np.asarray(tvals, dtype=float))
-        c2, c1, c0 = _trimer_coeff_grid(spec.params, z)
-        ones = np.ones_like(c2)
-        return np.stack([ones, c2, c1, c0], axis=-1)
-    if n not in (2, 3):
-        raise ValueError(f"characteristic-coefficient grid needs 2 or 3 bands, got {n}")
-    z = np.exp(1j * np.asarray(tvals, dtype=float))
-    h = np.zeros(z.shape + (n, n), dtype=complex)
-    for term in spec.fourier_terms():
-        h += term.matrix * (z ** term.n)[..., None, None]
-    ones = np.ones(z.shape, dtype=complex)
-    if n == 2:
-        tr = h[..., 0, 0] + h[..., 1, 1]
-        det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
-        return np.stack([ones, -tr, det], axis=-1)
-    tr = h[..., 0, 0] + h[..., 1, 1] + h[..., 2, 2]
-    minors = (h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]) \
-        + (h[..., 0, 0] * h[..., 2, 2] - h[..., 0, 2] * h[..., 2, 0]) \
-        + (h[..., 1, 1] * h[..., 2, 2] - h[..., 1, 2] * h[..., 2, 1])
-    det = np.linalg.det(h)
-    return np.stack([ones, -tr, minors, -det], axis=-1)
-
-
-def _disc_of_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    if coeffs.shape[-1] == 3:
-        b, c = coeffs[..., 1], coeffs[..., 2]
-        return b * b - 4.0 * c
-    b, c, d = coeffs[..., 1], coeffs[..., 2], coeffs[..., 3]
-    return 18.0 * b * c * d - 4.0 * b ** 3 * d + b * b * c * c - 4.0 * c ** 3 - 27.0 * d * d
-
-
 def _normalized_disc(spec: ModelSpec, k: float) -> float:
     """|discriminant| scaled by the eigenvalue magnitude, dimensionless."""
-    coeffs = _char_coeff_grid(spec, np.array([k]))[0]
-    roots = np.roots(coeffs)
-    n = len(roots)
-    scale = (1.0 + float(np.abs(roots).max())) ** (n * (n - 1))
-    return abs(_disc_of_coeffs(coeffs[None, :])[0]) / scale
+    e = _entries(spec, cmath.exp(1j * k))
+    n = len(e)
+    scale = (1.0 + max(abs(r) for r in _roots_scalar(e))) ** (n * (n - 1))
+    return abs(_disc(_char_coeffs(e))) / scale
 
 
 def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
@@ -206,11 +158,9 @@ def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def _coalescing_pair(spec: ModelSpec, k: float) -> tuple[complex, tuple[int, int]]:
+def _coalescing_pair(ev) -> tuple[complex, tuple[int, int]]:
     """Mean energy and (1-based, real-part-ranked) indices of the closest pair."""
-    ev = eigenvalues(_char_roots_matrix(spec, k))
-    order = np.lexsort((ev.imag, ev.real))
-    ev = ev[order]
+    ev = ev[np.lexsort((ev.imag, ev.real))]
     n = len(ev)
     best = None
     for i in range(n):
@@ -220,11 +170,6 @@ def _coalescing_pair(spec: ModelSpec, k: float) -> tuple[complex, tuple[int, int
                 best = (gap, i, j)
     _, i, j = best
     return 0.5 * (ev[i] + ev[j]), (i + 1, j + 1)
-
-
-def _char_roots_matrix(spec: ModelSpec, k: float):
-    from .models import bloch_matrix
-    return bloch_matrix(spec, k)
 
 
 def find_eps_k(spec: ModelSpec, grid_samples: int = 4096,
@@ -240,8 +185,7 @@ def find_eps_k(spec: ModelSpec, grid_samples: int = 4096,
     if spec.n_bands not in (2, 3):
         raise ValueError("exceptional-point search supports 2- and 3-band models")
     ks = np.linspace(0.0, _TWO_PI, grid_samples, endpoint=False)
-    coeffs = _char_coeff_grid(spec, ks)
-    mags = np.abs(_disc_of_coeffs(coeffs))
+    mags = np.abs(_disc(_char_coeffs(_entries(spec, np.exp(1j * ks)))))
     left = np.roll(mags, 1)
     right = np.roll(mags, -1)
     candidates = np.nonzero((mags <= left) & (mags < right))[0]
@@ -258,7 +202,7 @@ def find_eps_k(spec: ModelSpec, grid_samples: int = 4096,
         if any(abs(k_star - ep.k) < 1e-6 or abs(abs(k_star - ep.k) - _TWO_PI) < 1e-6
                for ep in found):
             continue
-        energy, pair = _coalescing_pair(spec, k_star)
+        energy, pair = _coalescing_pair(eigenvalues(bloch_matrix(spec, k_star)))
         found.append(ExceptionalPoint(complex(k_star), "k", complex(energy), pair, spec))
     found.sort(key=lambda ep: ep.k)
     return found
@@ -279,15 +223,16 @@ def most_degenerate_point(spec: ModelSpec, grid_samples: int = 2048) -> Exceptio
     per_k = gaps.min(axis=(1, 2))
     idx = int(np.argmin(per_k))
     step = _TWO_PI / grid_samples
+    raw_at = _raw_scalar_factory(spec, None)
 
     def gap_at(k: float) -> float:
-        ev = _eig_grid(spec, np.array([k]))[0]
+        ev = raw_at(k)
         g = np.abs(ev[:, None] - ev[None, :])
         g[np.arange(n), np.arange(n)] = np.inf
         return float(g.min())
 
     k_star = _golden_min(gap_at, ks[idx] - step, ks[idx] + step) % _TWO_PI
-    energy, pair = _coalescing_pair(spec, k_star)
+    energy, pair = _coalescing_pair(eigenvalues(bloch_matrix(spec, k_star)))
     return ExceptionalPoint(complex(k_star), "k", complex(energy), pair, spec)
 
 
@@ -297,6 +242,7 @@ class _Laurent:
     """Minimal Laurent-polynomial arithmetic on numpy coefficient arrays."""
 
     __slots__ = ("lo", "c")
+    __array_ufunc__ = None      # numpy scalars defer to the reflected operators
 
     def __init__(self, lo: int, coeffs):
         self.lo = lo
@@ -340,7 +286,14 @@ class _Laurent:
 
     __rmul__ = __mul__
 
+    def __rtruediv__(self, other):
+        if len(self.c) != 1:
+            raise ValueError("only a Laurent monomial can be inverted")
+        return _Laurent(-self.lo, [other / self.c[0]])
+
     def __pow__(self, n: int):
+        if n < 0:
+            return (1.0 / self) ** -n
         out = _Laurent.const(1.0)
         for _ in range(n):
             out = out * self
@@ -357,18 +310,6 @@ class _Laurent:
         return rts[np.abs(rts) > 1e-12]
 
 
-def _laurent_matrix(spec: ModelSpec) -> list[list[_Laurent]]:
-    n = spec.n_bands
-    mat = [[_Laurent.const(0.0) for _ in range(n)] for _ in range(n)]
-    for term in spec.fourier_terms():
-        for i in range(n):
-            for j in range(n):
-                x = term.matrix[i, j]
-                if x != 0:
-                    mat[i][j] = mat[i][j] + _Laurent.mono(x, term.n)
-    return mat
-
-
 def ep_zplane_numeric(spec: ModelSpec) -> list[ExceptionalPoint]:
     """Every discriminant zero of H(z) in the complex plane (2/3-band models).
 
@@ -380,34 +321,11 @@ def ep_zplane_numeric(spec: ModelSpec) -> list[ExceptionalPoint]:
     n = spec.n_bands
     if n not in (2, 3):
         raise ValueError("z-plane search supports 2- and 3-band models")
-    h = _laurent_matrix(spec)
-    if n == 2:
-        tr = h[0][0] + h[1][1]
-        det = h[0][0] * h[1][1] - h[0][1] * h[1][0]
-        disc = tr * tr - 4.0 * det
-    else:
-        b = -(h[0][0] + h[1][1] + h[2][2])
-        c = (h[0][0] * h[1][1] - h[0][1] * h[1][0]) \
-            + (h[0][0] * h[2][2] - h[0][2] * h[2][0]) \
-            + (h[1][1] * h[2][2] - h[1][2] * h[2][1])
-        det = (h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
-               - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
-               + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0]))
-        d = -det
-        disc = 18.0 * b * c * d - 4.0 * (b ** 3) * d + (b ** 2) * (c ** 2) - 4.0 * (c ** 3) - 27.0 * (d ** 2)
+    disc = _disc(_char_coeffs(_entries(spec, _Laurent.mono(1.0, 1))))
     out = []
     for z in disc.roots():
-        ev = eigenvalues(bloch_matrix_z(spec, complex(z)))
-        order = np.lexsort((ev.imag, ev.real))
-        ev = ev[order]
-        best = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                gap = abs(ev[i] - ev[j])
-                if best is None or gap < best[0]:
-                    best = (gap, i, j)
-        _, i, j = best
-        out.append(ExceptionalPoint(complex(z), "z", 0.5 * (ev[i] + ev[j]), (i + 1, j + 1), spec))
+        energy, pair = _coalescing_pair(eigenvalues(bloch_matrix_z(spec, complex(z))))
+        out.append(ExceptionalPoint(complex(z), "z", energy, pair, spec))
     out.sort(key=lambda ep: abs(ep.location))
     return out
 
@@ -624,7 +542,10 @@ class PhaseCell:
 def _thread_count(requested: int | None = None) -> int:
     if requested is None:
         raw = os.environ.get("BLOCH_BRAIDS_THREADS", "0").strip() or "0"
-        requested = int(raw)
+        try:
+            requested = int(raw)
+        except ValueError:
+            raise ValueError(f"BLOCH_BRAIDS_THREADS must be an integer, got {raw!r}") from None
     if requested <= 0:
         return max(1, min(8, os.cpu_count() or 1))
     return requested

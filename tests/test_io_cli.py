@@ -195,3 +195,26 @@ def test_shipped_configs_parse():
         with open(path, encoding="utf-8") as fh:
             cfg = RunConfig.from_json_dict(json.load(fh))
         cfg.validate()
+
+
+def test_cli_braid_dimer_index_independent_of_k0(dimer_file, tmp_path, capsys):
+    # the dimer's index winds about E = 0 only, so the base momentum is never read
+    nus = []
+    for k0 in ("0", "0.7853981633974483", "1.3"):
+        out = tmp_path / f"braid-{k0}.json"
+        assert main(["braid", "--model", dimer_file, "--k0", k0, "--out", str(out)]) == 0
+        nus.append(json.loads(out.read_text())["nu"])
+    capsys.readouterr()
+    assert nus == [1, 1, 1]
+
+
+def test_cli_rejects_non_integer_thread_count(dimer_file, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "pd.json"
+    cfg.write_text(json.dumps({"command": "phase-diagram", "model": DIMER,
+                               "options": {"axis1": "beta:1.4:1.6:3",
+                                           "axis2": "gamma:-1:1:5", "samples": 128},
+                               "out": str(tmp_path / "pd.csv")}))
+    monkeypatch.setenv("BLOCH_BRAIDS_THREADS", "two")
+    assert main(["from-config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "BLOCH_BRAIDS_THREADS" in err and "'two'" in err

@@ -8,6 +8,7 @@ from bloch_braids import (DimerParams, ModelSpec, TrimerParams, bloch_matrix,
                           dimer_hamiltonian, model_from_json, model_to_json,
                           trimer_hamiltonian)
 from bloch_braids.errors import ZeroModulus
+from bloch_braids.models import _char_coeffs, _entries
 from conftest import random_dimer, random_trimer
 
 
@@ -151,6 +152,7 @@ def test_generic_model_roundtrip():
     spec = ModelSpec.generic([(0, a0), (1, a1), (-1, a1.conj().T)])
     assert spec.n_bands == 2
     again = model_from_json(model_to_json(spec))
+    assert bloch_matrix(spec, 0.3).space == "k"
     for k in (0.3, 1.7):
         np.testing.assert_allclose(bloch_matrix(spec, k).entries,
                                    bloch_matrix(again, k).entries, atol=1e-15)
@@ -185,3 +187,23 @@ def test_replace_param():
     assert spec.replace_param("gamma", -1.0).params.gamma == -1.0
     with pytest.raises(ValueError):
         spec.replace_param("vorticity", 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_matches_fourier_sum_and_faddeev_leverrier(m):
+    # the kernel's entries against sum_n A_n z^n, its coefficients against
+    # Faddeev-LeVerrier, on and off the unit circle
+    rng = np.random.default_rng(70 + m)
+    for _ in range(10):
+        for spec in (random_dimer(rng), random_trimer(rng)):
+            spec = spec.replace_param("m", m)
+            for r in (0.6, 1.0, 1.7):
+                z = r * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                summed = sum(t.matrix * z ** t.n for t in spec.fourier_terms())
+                h = np.array(_entries(spec, z), dtype=complex)
+                scale = 1.0 + np.abs(summed).max()
+                assert np.abs(h - summed).max() < 1e-13 * scale
+                reference = characteristic_coefficients(summed)
+                coeffs = np.array(_char_coeffs(h))
+                for i, c in enumerate(coeffs, start=1):
+                    assert abs(c - reference[i]) < 1e-12 * scale ** i

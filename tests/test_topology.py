@@ -366,3 +366,26 @@ def test_phase_diagram_rejects_unknown_axis(fig1_dimer):
         phase_diagram(fig1_dimer(1.0), ("zeta", 0.0, 1.0, 3), ("gamma", 0.0, 1.0, 3))
     with pytest.raises(ValueError):
         phase_diagram(fig1_dimer(1.0), ("m", 1.0, 3.0, 3), ("gamma", 0.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_row_engine_agrees_with_scalar_classifier(m):
+    from bloch_braids import cyclic_canonical, exponent_sum, word_to_text
+    from bloch_braids.sweep import dimer_row_classify
+    from bloch_braids.topology import _classify
+    gammas = np.linspace(-3.0, 3.0, 121)
+    results = dimer_row_classify(1.0, 1.5, 0.3, gammas, m, k0=PI4)
+    counts = {"settled": 0, "degenerate": 0, "fallback": 0}
+    for gamma, res in zip(gammas, results):
+        scalar = _classify(ModelSpec.dimer(1.0, 1.5, 0.3, float(gamma), m), PI4, 512)
+        if res is None:
+            counts["fallback"] += 1
+        elif res[0] == "degenerate":
+            counts["degenerate"] += 1
+            assert scalar is None, gamma
+        else:
+            counts["settled"] += 1
+            word, perm = res
+            assert scalar == (word_to_text(cyclic_canonical(word)), exponent_sum(word), perm), gamma
+    # the comparison above must not be vacuous: 117 cells settle in the batch
+    assert counts["settled"] >= 117 and counts["degenerate"] == 2
