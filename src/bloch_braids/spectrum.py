@@ -7,8 +7,10 @@ characteristic coefficients for three, LAPACK beyond. Bands sampled over
 one zone period are stitched into continuous trajectories by
 minimal-total-distance matching between consecutive samples, with the grid
 refined adaptively until the largest matched jump is below half the
-smallest inter-band gap. The permutation of band labels after one full
-traversal (the closure permutation) is recorded on the trajectory.
+smallest inter-band gap. Refinement doubles a uniform grid; each doubling
+keeps the samples already computed and evaluates only the new midpoints.
+The permutation of band labels after one full traversal (the closure
+permutation) is recorded on the trajectory.
 """
 
 from __future__ import annotations
@@ -231,6 +233,13 @@ _COMPOSE3 = np.array([[ _PERMS3.index(tuple(pa[pb[x]] for x in range(3)))
                         for pb in _PERMS3] for pa in _PERMS3])
 
 
+def _pair_gaps(raw: np.ndarray) -> np.ndarray:
+    """Smallest distance between two eigenvalues of each sample, over the last axis."""
+    n = raw.shape[-1]
+    return np.minimum.reduce([np.abs(raw[..., i] - raw[..., j])
+                              for i, j in itertools.combinations(range(n), 2)])
+
+
 def _match_chain(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chain consecutive samples into continuous bands.
 
@@ -242,31 +251,36 @@ def _match_chain(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t, n = raw.shape
     p0 = np.lexsort((raw[0].imag, raw[0].real))
     if n == 2:
-        d_keep = np.maximum(np.abs(raw[1:, 0] - raw[:-1, 0]), np.abs(raw[1:, 1] - raw[:-1, 1]))
-        s_keep = np.abs(raw[1:, 0] - raw[:-1, 0]) + np.abs(raw[1:, 1] - raw[:-1, 1])
-        d_swap = np.maximum(np.abs(raw[1:, 1] - raw[:-1, 0]), np.abs(raw[1:, 0] - raw[:-1, 1]))
-        s_swap = np.abs(raw[1:, 1] - raw[:-1, 0]) + np.abs(raw[1:, 0] - raw[:-1, 1])
-        swap = s_swap < s_keep
-        jumps = np.where(swap, d_swap, d_keep)
+        keep0 = np.abs(raw[1:, 0] - raw[:-1, 0])
+        keep1 = np.abs(raw[1:, 1] - raw[:-1, 1])
+        swap0 = np.abs(raw[1:, 1] - raw[:-1, 0])
+        swap1 = np.abs(raw[1:, 0] - raw[:-1, 1])
+        swap = swap0 + swap1 < keep0 + keep1
+        jumps = np.where(swap, np.maximum(swap0, swap1), np.maximum(keep0, keep1))
         flips = np.concatenate([[0], np.cumsum(swap) % 2])
         indices = np.where(flips[:, None] == 0, p0[None, :], p0[None, ::-1])
         return indices.astype(np.intp), jumps
     if n == 3:
+        # d[a, b, j] = |raw[j+1, a] - raw[j, b]|; permutation P sends column
+        # b to P[b], and its cost adds the terms in the order of b
+        cols = raw.T
+        d = np.abs(cols[:, None, 1:] - cols[None, :, :-1])
         costs = np.empty((6, t - 1))
-        maxes = np.empty((6, t - 1))
-        for i, perm in enumerate(_PERMS3):
-            d = np.abs(raw[1:, list(perm)] - raw[:-1, :])
-            costs[i] = d.sum(axis=1)
-            maxes[i] = d.max(axis=1)
+        for i, (a0, a1, a2) in enumerate(_PERMS3):
+            costs[i] = d[a0, 0] + d[a1, 1] + d[a2, 2]
         decisions = np.argmin(costs, axis=0)
-        jumps = maxes[decisions, np.arange(t - 1)]
-        prefix = np.empty(t, dtype=np.intp)
-        prefix[0] = 0  # identity is _PERMS3[0]
-        comp = _COMPOSE3
+        jumps = d[_PERMS3_ARR[decisions], np.arange(3), np.arange(t - 1)[:, None]].max(axis=1)
+        # the prefix permutation changes only at non-identity steps: compose
+        # there, and carry each value forward to the next such step
+        moves = np.flatnonzero(decisions)
+        values = np.zeros(len(moves) + 1, dtype=np.intp)  # identity is _PERMS3[0]
         pr = 0
-        for j in range(t - 1):
-            pr = comp[decisions[j], pr]
-            prefix[j + 1] = pr
+        for i, decision in enumerate(decisions[moves].tolist()):
+            pr = _COMPOSE3[decision, pr]
+            values[i + 1] = pr
+        marks = np.zeros(t, dtype=np.intp)
+        marks[moves + 1] = 1
+        prefix = values[np.cumsum(marks)]
         indices = _PERMS3_ARR[prefix][:, p0]
         return indices.astype(np.intp), jumps
     from scipy.optimize import linear_sum_assignment
@@ -376,13 +390,18 @@ def _track(spec: ModelSpec, t0: float, samples: int, radius) -> BandTrajectory:
     k = int(samples)
     t0 = float(t0)
     nudges = 0
+    kept = None  # the previous level's samples: the even points of this grid
     while True:
         tvals = t0 + np.linspace(0.0, _TWO_PI, k + 1)
-        raw = _eig_grid(spec, tvals, radius)
+        if kept is None:
+            raw = _eig_grid(spec, tvals, radius)
+        else:
+            raw = np.empty((k + 1, kept.shape[1]), dtype=complex)
+            raw[::2] = kept
+            raw[1::2] = _eig_grid(spec, tvals[1::2], radius)
+            kept = None
         scale = 1.0 + float(np.abs(raw).max())
-        gaps = np.abs(raw[:, :, None] - raw[:, None, :])
-        gaps[:, np.arange(raw.shape[1]), np.arange(raw.shape[1])] = np.inf
-        min_gap = float(gaps.min())
+        min_gap = float(_pair_gaps(raw).min())
         if min_gap < DEGENERACY_RTOL * scale:
             raise DegeneracyEncountered(
                 f"minimum band gap {min_gap:.3e} below tolerance "
@@ -407,6 +426,7 @@ def _track(spec: ModelSpec, t0: float, samples: int, radius) -> BandTrajectory:
             raise RefinementExhausted(
                 f"no stable matching at {k} samples "
                 f"(max jump {max_jump:.3e}, min gap {min_gap:.3e})")
+        kept = raw
         k *= 2
 
 
@@ -416,9 +436,10 @@ def track_bands(spec: ModelSpec, k0: float = 0.0,
 
     The sample count doubles (up to a cap) until the largest matched jump is
     below half the smallest inter-band gap and the endpoint multiset closes
-    onto the starting one. Raises :class:`DegeneracyEncountered` on (or
-    numerically on) an exceptional point and :class:`RefinementExhausted`
-    when the cap is reached.
+    onto the starting one. The grid stays uniform: a doubling keeps the
+    samples it already has and evaluates only the new midpoints. Raises
+    :class:`DegeneracyEncountered` on (or numerically on) an exceptional
+    point and :class:`RefinementExhausted` when the cap is reached.
     """
     return _track(spec, k0, samples, None)
 

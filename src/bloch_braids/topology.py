@@ -26,8 +26,8 @@ from .errors import (DegenerateCrossing, DegeneracyEncountered, DegenerateModel,
                      UnresolvedCrossing, UnsupportedDegree)
 from .models import (DimerParams, ModelSpec, _char_coeffs, _disc, _entries, bloch_matrix,
                      bloch_matrix_z)
-from .spectrum import (_det_grid, _eig_grid, _raw_scalar_factory, _roots_scalar, eigenvalues,
-                       track_bands)
+from .spectrum import (_det_grid, _eig_grid, _pair_gaps, _raw_scalar_factory, _roots_scalar,
+                       eigenvalues, track_bands)
 
 __all__ = [
     "discriminant",
@@ -216,20 +216,12 @@ def most_degenerate_point(spec: ModelSpec, grid_samples: int = 2048) -> Exceptio
     boundary, where the minimal gap is tiny but not exactly zero.
     """
     ks = np.linspace(0.0, _TWO_PI, grid_samples, endpoint=False)
-    raw = _eig_grid(spec, ks)
-    gaps = np.abs(raw[:, :, None] - raw[:, None, :])
-    n = raw.shape[1]
-    gaps[:, np.arange(n), np.arange(n)] = np.inf
-    per_k = gaps.min(axis=(1, 2))
-    idx = int(np.argmin(per_k))
+    idx = int(np.argmin(_pair_gaps(_eig_grid(spec, ks))))
     step = _TWO_PI / grid_samples
     raw_at = _raw_scalar_factory(spec, None)
 
     def gap_at(k: float) -> float:
-        ev = raw_at(k)
-        g = np.abs(ev[:, None] - ev[None, :])
-        g[np.arange(n), np.arange(n)] = np.inf
-        return float(g.min())
+        return float(_pair_gaps(raw_at(k)))
 
     k_star = _golden_min(gap_at, ks[idx] - step, ks[idx] + step) % _TWO_PI
     energy, pair = _coalescing_pair(eigenvalues(bloch_matrix(spec, k_star)))

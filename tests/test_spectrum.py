@@ -6,7 +6,8 @@ from bloch_braids import (DimerParams, ModelSpec, bloch_matrix, dimer_bands_anal
                           track_bands)
 from bloch_braids.errors import DegeneracyEncountered
 from bloch_braids.models import characteristic_coefficients
-from bloch_braids.spectrum import _eig_grid
+from bloch_braids.spectrum import (_COMPOSE3, _PERMS3, _PERMS3_ARR, _closure_permutation,
+                                   _eig_grid, _match_chain, _pair_gaps)
 from conftest import PI4, random_dimer, random_trimer
 
 
@@ -258,6 +259,77 @@ def test_tracked_bands_solver_independent():
             a = sorted_c(raw_closed[j])
             b = sorted_c(raw_lapack[j])
             assert np.abs(a - b).max() < 1e-8
+
+
+# -- matching and refinement ---------------------------------------------------
+
+def per_step_chain(raw):
+    """Plain reference for the three-band chain: one argmin and one composition per step."""
+    p0 = np.lexsort((raw[0].imag, raw[0].real))
+    prefix, indices, jumps = 0, [_PERMS3_ARR[0][p0]], []
+    for j in range(len(raw) - 1):
+        dist = np.abs(raw[j + 1][:, None] - raw[j][None, :])
+        costs, maxes = [], []
+        for perm in _PERMS3:
+            d = [dist[perm[b], b] for b in range(3)]
+            costs.append(d[0] + d[1] + d[2])
+            maxes.append(max(d))
+        decision = int(np.argmin(costs))
+        jumps.append(maxes[decision])
+        prefix = _COMPOSE3[decision, prefix]
+        indices.append(_PERMS3_ARR[prefix][p0])
+    return np.array(indices), np.array(jumps)
+
+
+def shuffled_trimer_samples(rng, t, shuffle_rate):
+    # three separated smooth bands, stored in a column order that is
+    # re-drawn at a share of the steps, so most matchings are not the identity
+    theta = np.linspace(0.0, 2 * np.pi, t)
+    bands = np.stack([c + 0.4 * np.exp(1j * (theta + phase))
+                      for c, phase in ((-2.0, 0.0), (0.5j, 1.0), (2.0, 2.0))], axis=1)
+    bands += 1e-3 * (rng.normal(size=bands.shape) + 1j * rng.normal(size=bands.shape))
+    for j in np.flatnonzero(rng.random(t) < shuffle_rate):
+        bands[j] = bands[j, rng.permutation(3)]
+    return bands
+
+
+@pytest.mark.parametrize("t, shuffle_rate", [(2, 1.0), (3, 1.0), (4000, 0.6), (4000, 0.0)])
+def test_trimer_chain_matches_per_step_reference(t, shuffle_rate):
+    rng = np.random.default_rng(71 + t)
+    smooth = shuffled_trimer_samples(rng, t, shuffle_rate)
+    noise = rng.normal(size=(t, 3)) + 1j * rng.normal(size=(t, 3))
+    for raw in (smooth, noise):
+        indices, jumps = _match_chain(raw)
+        ref_indices, ref_jumps = per_step_chain(raw)
+        assert np.array_equal(indices, ref_indices)
+        assert np.array_equal(jumps, ref_jumps)
+    if shuffle_rate == 0.0:  # no reordering: every step keeps the solver order
+        assert (_match_chain(smooth)[0] == np.lexsort((smooth[0].imag, smooth[0].real))).all()
+
+
+@pytest.mark.parametrize("loop", ["zone", "riemann"])
+def test_refined_trajectory_is_the_uniform_grid_trajectory(loop, fig3_trimer):
+    # gamma just above the fig4a boundary at gamma* ~ 0.51728: refinement
+    # reuses the coarser levels' samples, and must land on the same uniform grid
+    spec = fig3_trimer(-1.2, 0.5176)
+    if loop == "zone":
+        traj = track_bands(spec, PI4)
+    else:
+        traj = riemann_loop(spec, 1.0, theta0=PI4)
+    assert traj.samples > 512
+    t_grid = PI4 + np.linspace(0.0, 2 * np.pi, traj.samples + 1)
+    assert np.array_equal(traj.t_grid, t_grid)
+    raw = _eig_grid(spec, t_grid, traj.radius)
+    indices, jumps = _match_chain(raw)
+    bands = raw[np.arange(len(t_grid))[:, None], indices].T
+    # a tolerance, not equality: numpy's complex arithmetic can differ in the
+    # last ulp with array layout, and the midpoints are evaluated separately
+    tol = 1e-14 * traj.scale
+    assert np.abs(traj.bands - bands).max() < tol
+    assert abs(traj.min_gap - _pair_gaps(raw).min()) < tol
+    assert abs(traj.max_jump - jumps.max()) < tol
+    assert traj.max_jump < 0.5 * traj.min_gap
+    assert traj.closure == _closure_permutation(bands, 1e-8 * traj.scale)
 
 
 GENERIC_2BAND = ModelSpec.generic([(0, [[0.4j, 1.0], [1.0, -0.4j]]),
