@@ -5,15 +5,17 @@ n (1-based, n < N) twists the strands currently ranked n and n+1 by real
 part. The text form is compact: lowercase ``t2`` is a positive generator,
 uppercase ``T2`` its inverse, and the empty word prints ``e``.
 
-Only free reduction (cancelling adjacent inverse pairs) is implemented;
-words that differ by the full braid relations are not identified. Phase
-classification therefore keys on the cyclically reduced word together with
-the exponent sum and the closure permutation, which is enough to separate
-the phases that occur in these lattices.
+Words are read off tracked bands by one crossing reader, written for a
+batch of trajectories; :func:`extract_braid_word` is its one-trajectory
+case. Only free reduction (cancelling adjacent inverse pairs) is
+implemented; words that differ by the full braid relations are not
+identified. Phase classification therefore keys on the cyclically reduced
+word together with the exponent sum and the closure permutation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -238,27 +240,149 @@ def words_cyclic_equal(a: BraidWord, b: BraidWord) -> bool:
 
 _BISECTION_WIDTH = 2.0 * np.pi * 1e-6   # letter sign is read at the crossing
 _SUBDIVIDE_FLOOR = 2.0 * np.pi * 1e-9   # below this, coincident crossings
+_PERMS = {n: np.array(list(itertools.permutations(range(n)))) for n in (2, 3)}
 
 
-def _rank_order(values: np.ndarray) -> tuple[int, ...]:
-    """Band indices sorted ascending by real part; ties by imaginary part."""
-    return tuple(int(i) for i in np.lexsort((values.imag, values.real)))
+def _below(values: np.ndarray) -> list[np.ndarray]:
+    """For each pair i < j of values along the last axis: whether i ranks below j.
+
+    Values rank by ascending real part, ties by imaginary part, then by
+    position (the order of a stable lexsort). This is the band order at a
+    base point and the strand order that braid letters refer to.
+    """
+    return [(a.real < b.real) | ((a.real == b.real) & (a.imag <= b.imag))
+            for a, b in ((values[..., i], values[..., j])
+                         for i, j in itertools.combinations(range(values.shape[-1]), 2))]
 
 
-def _match_to(reference: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Reorder ``raw`` to minimise total distance to ``reference``."""
-    n = len(reference)
-    if n <= 3:
-        best, best_cost = None, None
-        for perm in itertools.permutations(range(n)):
-            cost = sum(abs(raw[perm[i]] - reference[i]) for i in range(n))
-            if best_cost is None or cost < best_cost:
-                best, best_cost = perm, cost
-        return raw[list(best)]
-    from scipy.optimize import linear_sum_assignment
-    cost = np.abs(raw[None, :] - reference[:, None])
-    _, cols = linear_sum_assignment(cost)
-    return raw[cols]
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Rank of each value along the last axis, from 0 upward (see :func:`_below`)."""
+    n = values.shape[-1]
+    ranks = np.zeros(values.shape, dtype=np.int16)
+    for (i, j), below in zip(itertools.combinations(range(n), 2), _below(values)):
+        ranks[..., j] += below
+        ranks[..., i] += ~below
+    return ranks
+
+
+def _match(reference: np.ndarray, raw: np.ndarray):
+    """Continue each set of values in ``reference`` by the values in ``raw``.
+
+    Works over the last axis of two arrays of one shape. Returns
+    ``(perms, choice, jumps)``: with ``cols = perms[choice]``,
+    ``raw[..., cols[..., b]]`` continues ``reference[..., b]`` with the least
+    total distance, and ``jumps`` is the largest matched distance. Up to
+    three values every permutation is costed and a tie goes to the first in
+    lexicographic order (the identity); beyond that the assignment comes
+    from the Hungarian method.
+    """
+    n = reference.shape[-1]
+    if n not in _PERMS:
+        from scipy.optimize import linear_sum_assignment
+        cost = np.abs(raw[..., None, :] - reference[..., :, None]).reshape(-1, n, n)
+        cols = np.array([linear_sum_assignment(c)[1] for c in cost])
+        jumps = np.take_along_axis(cost, cols[..., None], -1).max(axis=(1, 2))
+        perms, choice = np.unique(cols, axis=0, return_inverse=True)
+        return perms, choice.reshape(reference.shape[:-1]), jumps.reshape(reference.shape[:-1])
+    # d[a][b] = |raw[a] - reference[b]|; a permutation's cost adds its terms in the order of b
+    d = [[np.abs(raw[..., a] - reference[..., b]) for b in range(n)] for a in range(n)]
+    for i, perm in enumerate(_PERMS[n].tolist()):
+        terms = [d[a][b] for b, a in enumerate(perm)]
+        cost, jump = functools.reduce(np.add, terms), functools.reduce(np.maximum, terms)
+        if i == 0:
+            best, choice, jumps = cost, np.zeros(cost.shape, dtype=np.intp), jump
+            continue
+        better = cost < best
+        choice[better] = i
+        best, jumps = np.where(better, cost, best), np.where(better, jump, jumps)
+    return _PERMS[n], choice, jumps
+
+
+def _read_words(t_grid: np.ndarray, bands: np.ndarray, scale: np.ndarray, raw_at) -> list:
+    """Braid words of a batch of trajectories tracked on one grid.
+
+    ``bands`` has shape (cells, N, T) and ``scale`` one entry per cell;
+    ``raw_at(cells, t)`` gives the unordered eigenvalues (E, N) of the
+    cells at loop parameters t (two arrays of length E). All crossings pass
+    each stage below together, one ``raw_at`` call per step. A cell whose
+    reading fails gets the exception of its first failing crossing instead.
+    """
+    n_cells, n, _ = bands.shape
+    changes = [below[:, 1:] != below[:, :-1] for below in _below(bands.transpose(0, 2, 1))]
+    cell, step = np.nonzero(functools.reduce(np.logical_or, changes))
+    tl, tr = t_grid[step], t_grid[step + 1]
+    el, er = bands[cell, :, step], bands[cell, :, step + 1]
+    found: list[list] = [[] for _ in range(n_cells)]
+
+    def at(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        raw = raw_at(cell[s], t)
+        perms, choice, _ = _match(el[s], raw)
+        return np.take_along_axis(raw, perms[choice], -1)
+
+    # a step whose ends differ by more than one swap of adjacent ranks is
+    # halved until each part holds one; parts that hold none drop out
+    singles = []
+    while True:
+        rl, rr = _ranks(el), _ranks(er)
+        moved = rl != rr
+        low = np.where(moved, rl, n).min(axis=-1)
+        single = (moved.sum(axis=-1) == 2) & (np.where(moved, rl, -1).max(axis=-1) == low + 1)
+        singles.append((cell[single], tl[single], tr[single], el[single], rl[single], low[single]))
+        split = moved.any(axis=-1) & ~single
+        for i in np.flatnonzero(split & (tr - tl < _SUBDIVIDE_FLOOR)).tolist():
+            found[cell[i]].append((tl[i], UnresolvedCrossing(
+                f"multiple crossings within dt={tr[i] - tl[i]:.3e} near t={tl[i]:.6f}")))
+        s = np.flatnonzero(split & (tr - tl >= _SUBDIVIDE_FLOOR))
+        if not len(s):
+            break
+        tm = 0.5 * (tl[s] + tr[s])
+        em = at(s, tm)
+        cell = np.tile(cell[s], 2)
+        tl, tr = np.concatenate([tl[s], tm]), np.concatenate([tm, tr[s]])
+        el, er = np.concatenate([el[s], em]), np.concatenate([em, er[s]])
+    cell, tl, tr, el, rl, low = (np.concatenate(parts) for parts in zip(*singles))
+    key, every = tl.copy(), np.arange(len(cell))
+    lower, upper = (np.argmax(rl == (low + k)[:, None], axis=-1) for k in (0, 1))
+
+    def upper_minus_lower(s: np.ndarray, e: np.ndarray) -> np.ndarray:
+        return e[np.arange(len(s)), upper[s]] - e[np.arange(len(s)), lower[s]]
+
+    dl = upper_minus_lower(every, el).real
+    # a crossing pinned exactly on a sample: step off it
+    for _ in range(8):
+        s = np.flatnonzero(dl == 0.0)
+        if not len(s):
+            break
+        tl[s] = tl[s] + 1e-3 * (tr[s] - tl[s])
+        el[s] = at(s, tl[s])
+        dl[s] = upper_minus_lower(s, el[s]).real
+    # bisect each crossing, keeping the side whose real-part order is the left end's
+    while True:
+        s = np.flatnonzero(tr - tl > _BISECTION_WIDTH)
+        if not len(s):
+            break
+        tm = 0.5 * (tl[s] + tr[s])
+        em = at(s, tm)
+        dm = upper_minus_lower(s, em).real
+        left = (dm == 0.0) | ((dm > 0) == (dl[s] > 0))
+        tl[s[left]], el[s[left]], dl[s[left]] = tm[left], em[left], dm[left]
+        tr[s[~left]] = tm[~left]
+    tm = 0.5 * (tl + tr)
+    imdiff = upper_minus_lower(every, at(every, tm)).imag if len(every) else []
+    for i, im in enumerate(imdiff):
+        if abs(im) < 1e-8 * scale[cell[i]]:
+            item = DegenerateCrossing(
+                f"bands {lower[i] + 1} and {upper[i] + 1} coalesce at t={tm[i]:.9f}")
+        else:
+            item = (int(low[i]) + 1, 1 if im > 0 else -1)
+        found[cell[i]].append((key[i], item))
+
+    words = []
+    for items in found:
+        items.sort(key=lambda item: item[0])
+        errors = [x for _, x in items if isinstance(x, Exception)]
+        words.append(errors[0] if errors else BraidWord(tuple(x for _, x in items), n))
+    return words
 
 
 def extract_braid_word(trajectory) -> BraidWord:
@@ -267,75 +391,20 @@ def extract_braid_word(trajectory) -> BraidWord:
     Scanning the zone upward from the base point, every swap in the
     real-part order of two adjacent strands emits one letter for the rank
     the pair occupied just before the swap. The crossing is localised by
-    bisection (re-evaluating the model between samples) and the sign is read
-    there: +1 when the strand that was upper in real part lies above in
-    imaginary part at the crossing, -1 otherwise. This convention makes the
-    exponent sum of the word coincide with the spectral winding index.
+    bisection (re-evaluating the model between samples through
+    ``trajectory.evaluate_raw``) and the sign is read there: +1 when the
+    strand that was upper in real part lies above in imaginary part at the
+    crossing, -1 otherwise. This convention makes the exponent sum of the
+    word coincide with the spectral winding index.
 
     Raises :class:`DegenerateCrossing` when a crossing has both parts equal
     (an exceptional point) and :class:`UnresolvedCrossing` when two
     crossings cannot be separated.
     """
-    bands = trajectory.bands
-    tvals = trajectory.t_grid
-    n = bands.shape[0]
-    scale = trajectory.scale
     evaluate = trajectory.evaluate_raw
-
-    orders = np.lexsort((bands.imag.T, bands.real.T))
-    events = np.nonzero(np.any(orders[:-1] != orders[1:], axis=1))[0]
-
-    letters: list[tuple[int, int]] = []
-
-    def resolve(tl: float, el: np.ndarray, tr: float, er: np.ndarray) -> None:
-        ol = _rank_order(el)
-        orr = _rank_order(er)
-        if ol == orr:
-            return
-        swapped = [p for p in range(n) if ol[p] != orr[p]]
-        single = (len(swapped) == 2 and swapped[1] == swapped[0] + 1
-                  and ol[swapped[0]] == orr[swapped[1]] and ol[swapped[1]] == orr[swapped[0]])
-        if not single:
-            if tr - tl < _SUBDIVIDE_FLOOR:
-                raise UnresolvedCrossing(
-                    f"multiple crossings within dt={tr - tl:.3e} near t={tl:.6f}")
-            tm = 0.5 * (tl + tr)
-            em = _match_to(el, evaluate(tm))
-            resolve(tl, el, tm, em)
-            resolve(tm, em, tr, er)
-            return
-
-        p = swapped[0]
-        lower, upper = ol[p], ol[p + 1]
-
-        def rediff(e: np.ndarray) -> float:
-            return float((e[upper] - e[lower]).real)
-
-        dl = rediff(el)
-        # guard against a crossing pinned exactly on a sample
-        shrink = 0
-        while dl == 0.0 and shrink < 8:
-            tl = tl + 1e-3 * (tr - tl)
-            el = _match_to(el, evaluate(tl))
-            dl = rediff(el)
-            shrink += 1
-        while tr - tl > _BISECTION_WIDTH:
-            tm = 0.5 * (tl + tr)
-            em = _match_to(el, evaluate(tm))
-            dm = rediff(em)
-            if dm == 0.0 or (dm > 0) == (dl > 0):
-                tl, el, dl = tm, em, dm
-            else:
-                tr, er = tm, em
-        tm = 0.5 * (tl + tr)
-        em = _match_to(el, evaluate(tm))
-        imdiff = float((em[upper] - em[lower]).imag)
-        if abs(imdiff) < 1e-8 * scale:
-            raise DegenerateCrossing(
-                f"bands {lower + 1} and {upper + 1} coalesce at t={tm:.9f}")
-        letters.append((p + 1, 1 if imdiff > 0 else -1))
-
-    for j in events:
-        resolve(float(tvals[j]), bands[:, j].copy(), float(tvals[j + 1]), bands[:, j + 1].copy())
-
-    return BraidWord(tuple(letters), n)
+    word, = _read_words(trajectory.t_grid, np.asarray(trajectory.bands)[None],
+                        np.array([trajectory.scale]),
+                        lambda cells, t: np.array([evaluate(x) for x in t.tolist()]))
+    if isinstance(word, Exception):
+        raise word
+    return word

@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -296,8 +297,8 @@ class BlochMatrix:
 # Each family's H(z) is written once, with arithmetic operators only and with
 # z entering the dimer and trimer only through w = z**m and 1/w. The same
 # formulas therefore evaluate Python complex scalars (crossing bisection),
-# numpy grids, parameter arrays broadcast against sample arrays (the dimer
-# row engine) and Laurent polynomials (exact z-plane discriminants). Entries
+# numpy grids, parameter arrays broadcast against sample arrays (sweep
+# rows) and Laurent polynomials (exact z-plane discriminants). Entries
 # come back as rows, ``e[i][j]``; an entry may be a plain number where it
 # does not depend on z.
 
@@ -323,9 +324,12 @@ def _fourier_entries(terms, z):
                  for i in range(n))
 
 
-def _entries(spec: ModelSpec, z):
-    """Rows of H(z) for any model; ``z`` may be a scalar, an array or a Laurent monomial."""
-    p = spec.params
+def _entries(spec: ModelSpec, z, values=None):
+    """Rows of H(z) for any model; ``z`` may be a scalar, an array or a Laurent monomial.
+
+    ``values`` replaces named parameters, e.g. by per-cell arrays of a sweep row.
+    """
+    p = spec.params if not values else SimpleNamespace(**{**vars(spec.params), **values})
     if spec.kind == "dimer":
         return _dimer_entries(p.alpha, p.beta, p.delta, p.gamma, z ** p.m)
     if spec.kind == "trimer":

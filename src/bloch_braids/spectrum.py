@@ -3,27 +3,29 @@
 Eigenvalues are computed from the entries of the model kernel in
 :mod:`bloch_braids.models`, with the solver chosen by band count: the
 quadratic formula for two bands, a polished Cardano cubic on the kernel's
-characteristic coefficients for three, LAPACK beyond. Bands sampled over
-one zone period are stitched into continuous trajectories by
-minimal-total-distance matching between consecutive samples, with the grid
-refined adaptively until the largest matched jump is below half the
-smallest inter-band gap. Refinement doubles a uniform grid; each doubling
-keeps the samples already computed and evaluates only the new midpoints.
-The permutation of band labels after one full traversal (the closure
+characteristic coefficients for three, LAPACK beyond. One tracker, written
+for a batch of cells (a phase-diagram row, or the one model of
+:func:`track_bands` and :func:`riemann_loop`), stitches the samples of one
+period into continuous bands by minimal-total-distance matching, and
+doubles a uniform grid, keeping the samples already computed, until the
+largest matched jump is below half the smallest inter-band gap. The
+permutation of band labels after one full traversal (the closure
 permutation) is recorded on the trajectory.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
 
-from .braid import Permutation
-from .errors import DegeneracyEncountered, RefinementExhausted
+from .braid import Permutation, _match, _ranks
+from .errors import DegeneracyEncountered, RefinementExhausted, UnresolvedCrossing
 from .models import (DimerParams, ModelSpec, _char_coeffs, _det_minus, _dimer_entries,
                      _entries)
 
@@ -200,9 +202,9 @@ def _points(tvals, radius):
     return z
 
 
-def _eig_grid(spec: ModelSpec, tvals, radius=None) -> np.ndarray:
-    """Raw (unordered) eigenvalues over a parameter grid, shape (T, N)."""
-    return _roots(_entries(spec, _points(tvals, radius)))
+def _eig_grid(spec: ModelSpec, tvals, radius=None, values=None) -> np.ndarray:
+    """Raw (unordered) eigenvalues over a grid, shape (T, N); ``values`` as in ``_entries``."""
+    return _roots(_entries(spec, _points(tvals, radius), values))
 
 
 def _det_grid(spec: ModelSpec, tvals, e_ref: complex) -> np.ndarray:
@@ -226,78 +228,55 @@ def _raw_scalar_factory(spec: ModelSpec, radius) -> Callable[[float], np.ndarray
 
 # -- matching --------------------------------------------------------------
 
-_PERMS3 = tuple(itertools.permutations(range(3)))
-_PERMS3_ARR = np.array(_PERMS3)
-# _COMPOSE3[a, b] = index of the permutation (P_a after P_b): x -> P_a[P_b[x]]
-_COMPOSE3 = np.array([[ _PERMS3.index(tuple(pa[pb[x]] for x in range(3)))
-                        for pb in _PERMS3] for pa in _PERMS3])
-
-
 def _pair_gaps(raw: np.ndarray) -> np.ndarray:
     """Smallest distance between two eigenvalues of each sample, over the last axis."""
     n = raw.shape[-1]
-    return np.minimum.reduce([np.abs(raw[..., i] - raw[..., j])
-                              for i, j in itertools.combinations(range(n), 2)])
+    return functools.reduce(np.minimum, (np.abs(raw[..., i] - raw[..., j])
+                                         for i, j in itertools.combinations(range(n), 2)))
 
 
-def _match_chain(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _match_chain(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chain consecutive samples into continuous bands.
 
-    Returns ``(indices, jumps)``: ``indices[j, n]`` is the raw column of
-    band n at sample j (bands start in ascending real-part order with
-    imaginary-part tie-break), and ``jumps[j]`` is the largest matched step
-    between samples j and j+1.
+    ``raw`` has shape (..., T, N): samples along the second-to-last axis.
+    Returns ``(indices, bands, jumps)``: ``indices[..., j, n]`` is the raw
+    column of band n at sample j and ``bands[..., j, n]`` its value, and
+    ``jumps[..., j]`` is the largest matched step between samples j and j+1.
+    Bands start in base-point order (see :func:`bloch_braids.braid._below`)
+    and each step is matched by :func:`bloch_braids.braid._match`.
     """
-    t, n = raw.shape
-    p0 = np.lexsort((raw[0].imag, raw[0].real))
-    if n == 2:
-        keep0 = np.abs(raw[1:, 0] - raw[:-1, 0])
-        keep1 = np.abs(raw[1:, 1] - raw[:-1, 1])
-        swap0 = np.abs(raw[1:, 1] - raw[:-1, 0])
-        swap1 = np.abs(raw[1:, 0] - raw[:-1, 1])
-        swap = swap0 + swap1 < keep0 + keep1
-        jumps = np.where(swap, np.maximum(swap0, swap1), np.maximum(keep0, keep1))
-        flips = np.concatenate([[0], np.cumsum(swap) % 2])
-        indices = np.where(flips[:, None] == 0, p0[None, :], p0[None, ::-1])
-        return indices.astype(np.intp), jumps
-    if n == 3:
-        # d[a, b, j] = |raw[j+1, a] - raw[j, b]|; permutation P sends column
-        # b to P[b], and its cost adds the terms in the order of b
-        cols = raw.T
-        d = np.abs(cols[:, None, 1:] - cols[None, :, :-1])
-        costs = np.empty((6, t - 1))
-        for i, (a0, a1, a2) in enumerate(_PERMS3):
-            costs[i] = d[a0, 0] + d[a1, 1] + d[a2, 2]
-        decisions = np.argmin(costs, axis=0)
-        jumps = d[_PERMS3_ARR[decisions], np.arange(3), np.arange(t - 1)[:, None]].max(axis=1)
-        # the prefix permutation changes only at non-identity steps: compose
-        # there, and carry each value forward to the next such step
-        moves = np.flatnonzero(decisions)
-        values = np.zeros(len(moves) + 1, dtype=np.intp)  # identity is _PERMS3[0]
-        pr = 0
-        for i, decision in enumerate(decisions[moves].tolist()):
-            pr = _COMPOSE3[decision, pr]
-            values[i + 1] = pr
-        marks = np.zeros(t, dtype=np.intp)
-        marks[moves + 1] = 1
-        prefix = values[np.cumsum(marks)]
-        indices = _PERMS3_ARR[prefix][:, p0]
-        return indices.astype(np.intp), jumps
-    from scipy.optimize import linear_sum_assignment
-    indices = np.empty((t, n), dtype=np.intp)
-    indices[0] = p0
-    jumps = np.empty(t - 1)
-    current = np.arange(n)
-    chain = [np.arange(n)]
-    for j in range(t - 1):
-        cost = np.abs(raw[j + 1][None, :] - raw[j][:, None])
-        _, cols = linear_sum_assignment(cost)
-        jumps[j] = cost[np.arange(n), cols].max()
-        current = cols[current]
-        chain.append(current.copy())
-    for j in range(1, t):
-        indices[j] = chain[j][p0]
-    return indices, jumps
+    *lead, t, n = raw.shape
+    raw = raw.reshape(-1, t, n)
+    perms, choice, jumps = _match(raw[:, :-1], raw[:, 1:])
+    # the column of a band changes only at steps matched by a permutation
+    # other than the identity: compose there, and repeat each value up to
+    # the next such step; each chain starts from the base-point order
+    marks = np.ones((len(raw), t), dtype=bool)
+    marks[:, 1:] = np.any(perms != np.arange(n), axis=-1)[choice]
+    moves = iter(perms[choice[marks[:, 1:]]].tolist())
+    starts = iter(np.argsort(_ranks(raw[:, 0]), axis=-1).tolist())
+    at = np.flatnonzero(marks)
+    values = []
+    for start in (at % t == 0).tolist():
+        values.append(next(starts) if start else itemgetter(*values[-1])(next(moves)))
+    indices = np.repeat(np.array(values, dtype=np.intp), np.diff(at, append=marks.size), axis=0)
+    bands = raw.reshape(-1)[indices + n * np.arange(len(indices))[:, None]]
+    return (indices.reshape(*lead, t, n), bands.reshape(*lead, t, n),
+            jumps.reshape(*lead, t - 1))
+
+
+def _closures(bands: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closure permutations of tracked bands of shape (cells, N, T).
+
+    Returns ``(image, closed)``: band i of cell c ends nearest the start of
+    band ``image[c, i]``, and the cell closes when every such distance is
+    within its ``tol`` and no start is reached twice.
+    """
+    dist = np.abs(bands[:, None, :, 0] - bands[:, :, None, -1])  # [c, i, j]: end i to start j
+    image = dist.argmin(axis=-1)
+    closed = ((dist.min(axis=-1) <= tol[:, None]).all(axis=-1)
+              & (np.sort(image, axis=-1) == np.arange(bands.shape[1])).all(axis=-1))
+    return image, closed
 
 
 # -- trajectories ----------------------------------------------------------
@@ -368,66 +347,103 @@ class BandTrajectory:
         return self._evaluator(t)
 
 
-def _closure_permutation(bands: np.ndarray, tol: float) -> Permutation | None:
-    starts = bands[:, 0]
-    ends = bands[:, -1]
-    n = bands.shape[0]
-    image = []
-    for i in range(n):
-        dist = np.abs(starts - ends[i])
-        j = int(np.argmin(dist))
-        if dist[j] > tol:
-            return None
-        image.append(j)
-    if sorted(image) != list(range(n)):
-        return None
-    return Permutation(tuple(image))
+@dataclass
+class _Tracked:
+    """Cells of a batch that settled together on one grid."""
+
+    cells: np.ndarray       # (C,) indices into the batch
+    t_grid: np.ndarray      # (T,)
+    bands: np.ndarray       # (C, N, T)
+    closure: np.ndarray     # (C, N) closure images
+    order: np.ndarray       # (C, N) raw column of each band at the base point
+    scale: np.ndarray       # (C,)
+    min_gap: np.ndarray     # (C,)
+    max_jump: np.ndarray    # (C,)
 
 
-def _track(spec: ModelSpec, t0: float, samples: int, radius) -> BandTrajectory:
-    if samples < 64:
-        raise ValueError(f"need at least 64 samples, got {samples}")
-    k = int(samples)
-    t0 = float(t0)
-    nudges = 0
-    kept = None  # the previous level's samples: the even points of this grid
-    while True:
-        tvals = t0 + np.linspace(0.0, _TWO_PI, k + 1)
-        if kept is None:
-            raw = _eig_grid(spec, tvals, radius)
-        else:
-            raw = np.empty((k + 1, kept.shape[1]), dtype=complex)
-            raw[::2] = kept
-            raw[1::2] = _eig_grid(spec, tvals[1::2], radius)
-            kept = None
-        scale = 1.0 + float(np.abs(raw).max())
-        min_gap = float(_pair_gaps(raw).min())
-        if min_gap < DEGENERACY_RTOL * scale:
-            raise DegeneracyEncountered(
-                f"minimum band gap {min_gap:.3e} below tolerance "
-                f"{DEGENERACY_RTOL * scale:.3e}; parameters sit on an exceptional point")
-        # a real-part tie at the base point leaves the initial order, and any
-        # crossing pinned there, ill-defined: shift the base by one grid step
-        first = np.sort(raw[0].real)
-        if np.min(np.diff(first)) < 1e-9 * scale and nudges < 8:
-            t0 += _TWO_PI / k
-            nudges += 1
-            continue
-        indices, jumps = _match_chain(raw)
-        bands = raw[np.arange(k + 1)[:, None], indices].T
-        max_jump = float(jumps.max())
-        closure = _closure_permutation(bands, 1e-8 * scale)
-        if max_jump < 0.5 * min_gap and closure is not None:
-            return BandTrajectory(
-                model=spec, t_grid=tvals, bands=bands, closure=closure,
-                initial_order=indices[0].copy(), radius=radius, scale=scale,
-                min_gap=min_gap, max_jump=max_jump)
-        if k >= TRACK_SAMPLES_MAX:
-            raise RefinementExhausted(
+_REFINE_BATCH_SAMPLES = 1 << 18   # samples of one refinement batch: 4 cells at the cap
+
+
+def _track(raw_at, cells, t0: float, k: int, failures: dict, kept=None, nudges: int = 0):
+    """Track a batch of cells over [t0, t0 + 2pi] on k samples.
+
+    ``raw_at(cells, t)`` gives the raw eigenvalues (..., N) of the cells
+    indexed by ``cells`` at loop parameters ``t``, broadcast against each
+    other. Each cell follows the rules of :func:`track_bands`. The cells
+    that settle are yielded as :class:`_Tracked` groups, one per grid; a
+    cell that fails is not, and ``failures[cell]`` holds its exception.
+    ``kept`` holds the previous level's samples.
+    """
+    if k < 64:
+        raise ValueError(f"need at least 64 samples, got {k}")
+    tvals = t0 + np.linspace(0.0, _TWO_PI, k + 1)
+    if kept is None:
+        raw = raw_at(cells[:, None], tvals).reshape(len(cells), k + 1, -1)
+    else:
+        # the previous level's samples are the even points of this grid
+        raw = np.empty((len(cells), k + 1, kept.shape[-1]), dtype=complex)
+        raw[:, ::2] = kept
+        raw[:, 1::2] = raw_at(cells[:, None], tvals[1::2])
+        del kept
+    scale = 1.0 + np.abs(raw).max(axis=(1, 2))
+    min_gap = _pair_gaps(raw).min(axis=1)
+    on_ep = min_gap < DEGENERACY_RTOL * scale
+    for i in np.flatnonzero(on_ep).tolist():
+        failures[cells[i]] = DegeneracyEncountered(
+            f"minimum band gap {min_gap[i]:.3e} below tolerance "
+            f"{DEGENERACY_RTOL * scale[i]:.3e}; parameters sit on an exceptional point")
+    # a real-part tie at the base point leaves the initial order, and any
+    # crossing pinned there, ill-defined: shift the base by one grid step
+    first = np.sort(raw[:, 0].real, axis=-1)
+    tie = ~on_ep & (np.diff(first, axis=-1).min(axis=-1) < 1e-9 * scale)
+    if tie.any() and nudges < 8:
+        yield from _track(raw_at, cells[tie], t0 + _TWO_PI / k, k, failures, None, nudges + 1)
+    elif tie.any():
+        for i in np.flatnonzero(tie).tolist():
+            failures[cells[i]] = UnresolvedCrossing(
+                f"real parts tie at the base point t={t0:.9f} after {nudges} shifts of it; "
+                f"the band order is undefined")
+    live = ~(on_ep | tie)
+    if not live.any():
+        return
+    if not live.all():
+        raw, cells, scale, min_gap = raw[live], cells[live], scale[live], min_gap[live]
+    indices, bands, jumps = _match_chain(raw)
+    order, max_jump, bands = indices[:, 0].copy(), jumps.max(axis=1), bands.transpose(0, 2, 1)
+    closure, closed = _closures(bands, 1e-8 * scale)
+    done = closed & (max_jump < 0.5 * min_gap)
+    rest = np.flatnonzero(~done)
+    # what refines keeps its samples; the rest of the level is released first
+    kept = raw[rest] if len(rest) and k < TRACK_SAMPLES_MAX else None
+    del raw, indices, jumps
+    if done.any():
+        sel = done if len(rest) else slice(None)
+        yield _Tracked(cells[sel], tvals, bands[sel], closure[sel], order[sel], scale[sel],
+                       min_gap[sel], max_jump[sel])
+    del bands
+    if kept is None:
+        for i in rest.tolist():
+            failures[cells[i]] = RefinementExhausted(
                 f"no stable matching at {k} samples "
-                f"(max jump {max_jump:.3e}, min gap {min_gap:.3e})")
-        kept = raw
-        k *= 2
+                f"(max jump {max_jump[i]:.3e}, min gap {min_gap[i]:.3e})")
+        return
+    cells = cells[rest]
+    batch = max(1, _REFINE_BATCH_SAMPLES // (2 * k + 1))
+    for s in range(0, len(cells), batch):
+        yield from _track(raw_at, cells[s:s + batch], t0, 2 * k, failures,
+                          kept[s:s + batch], nudges)
+
+
+def _track_one(spec: ModelSpec, t0: float, samples: int, radius) -> BandTrajectory:
+    failures: dict = {}
+    for g in _track(lambda cells, t: _eig_grid(spec, t, radius), np.arange(1), float(t0),
+                    int(samples), failures):
+        return BandTrajectory(
+            model=spec, t_grid=g.t_grid, bands=g.bands[0],
+            closure=Permutation(tuple(g.closure[0].tolist())), initial_order=g.order[0],
+            radius=radius, scale=float(g.scale[0]), min_gap=float(g.min_gap[0]),
+            max_jump=float(g.max_jump[0]))
+    raise failures[0]
 
 
 def track_bands(spec: ModelSpec, k0: float = 0.0,
@@ -437,11 +453,14 @@ def track_bands(spec: ModelSpec, k0: float = 0.0,
     The sample count doubles (up to a cap) until the largest matched jump is
     below half the smallest inter-band gap and the endpoint multiset closes
     onto the starting one. The grid stays uniform: a doubling keeps the
-    samples it already has and evaluates only the new midpoints. Raises
-    :class:`DegeneracyEncountered` on (or numerically on) an exceptional
-    point and :class:`RefinementExhausted` when the cap is reached.
+    samples it already has and evaluates only the new midpoints. A
+    real-part tie at the base point shifts it by one grid step, at most 8
+    times. Raises :class:`DegeneracyEncountered` on (or numerically on) an
+    exceptional point, :class:`RefinementExhausted` when the cap is
+    reached, and :class:`UnresolvedCrossing` when the tie survives the
+    shifts.
     """
-    return _track(spec, k0, samples, None)
+    return _track_one(spec, k0, samples, None)
 
 
 def riemann_loop(spec: ModelSpec, radius: float, samples: int = TRACK_SAMPLES_DEFAULT,
@@ -453,4 +472,4 @@ def riemann_loop(spec: ModelSpec, radius: float, samples: int = TRACK_SAMPLES_DE
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    return _track(spec, theta0, samples, float(radius))
+    return _track_one(spec, theta0, samples, float(radius))

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import Permutation, cyclic_canonical, exponent_sum, extract_braid_word, word_to_text
+from . import sweep
+from .braid import (Permutation, _ranks, cyclic_canonical, exponent_sum, extract_braid_word,
+                    word_to_text)
 from .errors import (DegenerateCrossing, DegeneracyEncountered, DegenerateModel,
                      NonConvergent, ReferenceOnBand, RefinementExhausted,
                      UnresolvedCrossing, UnsupportedDegree)
@@ -160,7 +162,7 @@ def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
 
 def _coalescing_pair(ev) -> tuple[complex, tuple[int, int]]:
     """Mean energy and (1-based, real-part-ranked) indices of the closest pair."""
-    ev = ev[np.lexsort((ev.imag, ev.real))]
+    ev = ev[np.argsort(_ranks(ev))]
     n = len(ev)
     best = None
     for i in range(n):
@@ -616,9 +618,11 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     """Classify the braid phase on a 2-parameter grid.
 
     ``axis1`` and ``axis2`` are :class:`AxisSpec` or (name, start, stop,
-    resolution) tuples naming scalar parameters of the template model. Cells
-    are classified independently (rows run in a thread pool; set
-    BLOCH_BRAIDS_THREADS to cap the worker count, 0 means automatic).
+    resolution) tuples naming scalar parameters of the template model. Each
+    row of ``axis2`` cells is tracked and read as one batch, by the rules of
+    :func:`track_bands` and :func:`extract_braid_word`; a cell where they
+    fail is DEGENERATE. Rows run in a thread pool (BLOCH_BRAIDS_THREADS caps
+    the worker count, 0 means automatic).
     """
     axis1 = axis1 if isinstance(axis1, AxisSpec) else AxisSpec(*axis1)
     axis2 = axis2 if isinstance(axis2, AxisSpec) else AxisSpec(*axis2)
@@ -635,42 +639,23 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
 
     vals1 = axis1.values()
     vals2 = axis2.values()
+    row_classify = {"dimer": sweep.dimer_row_classify,
+                    "trimer": sweep.trimer_row_classify}[template.kind]
 
-    def scalar_cell(v1: float, v2: float) -> PhaseCell:
-        spec = template.replace_param(axis1.name, v1).replace_param(axis2.name, v2)
-        result = _classify(spec, k0, samples)
-        if result is None:
-            return PhaseCell(v1, v2, DEGENERATE, None, None)
-        word_text, nu, perm = result
-        return PhaseCell(v1, v2, word_text, nu, perm)
-
-    if template.kind == "dimer":
-        from .sweep import dimer_row_classify
-
-        def classify_row(i: int) -> list[PhaseCell]:
-            v1 = float(vals1[i])
-            p = template.replace_param(axis1.name, v1).params
-            fields = {"alpha": p.alpha, "beta": p.beta, "delta": p.delta, "gamma": p.gamma}
-            arrays = {name: np.full(len(vals2), value) for name, value in fields.items()}
-            arrays[axis2.name] = vals2.astype(float)
-            results = dimer_row_classify(arrays["alpha"], arrays["beta"], arrays["delta"],
-                                         arrays["gamma"], p.m, k0=k0, samples=samples)
-            row = []
-            for j, res in enumerate(results):
-                v2 = float(vals2[j])
-                if res is None:
-                    row.append(scalar_cell(v1, v2))
-                elif res[0] == "degenerate":
-                    row.append(PhaseCell(v1, v2, DEGENERATE, None, None))
-                else:
-                    word, perm = res
-                    row.append(PhaseCell(v1, v2, word_to_text(cyclic_canonical(word)),
-                                         exponent_sum(word), perm))
-            return row
-    else:
-        def classify_row(i: int) -> list[PhaseCell]:
-            v1 = float(vals1[i])
-            return [scalar_cell(v1, float(v2)) for v2 in vals2]
+    def classify_row(i: int) -> list[PhaseCell]:
+        v1 = float(vals1[i])
+        p = template.replace_param(axis1.name, v1).params
+        values = {name: getattr(p, name) for name in field_names}
+        values[axis2.name] = vals2
+        row = []
+        for v2, res in zip(vals2.tolist(), row_classify(**values, m=p.m, k0=k0, samples=samples)):
+            if isinstance(res, Exception):
+                row.append(PhaseCell(v1, v2, DEGENERATE, None, None))
+            else:
+                word, perm = res
+                row.append(PhaseCell(v1, v2, word_to_text(cyclic_canonical(word)),
+                                     exponent_sum(word), perm))
+        return row
 
     workers = _thread_count(threads)
     if workers == 1:

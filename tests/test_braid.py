@@ -5,8 +5,12 @@ from bloch_braids import (BraidWord, Permutation, concat, cyclic_canonical,
                           exponent_sum, extract_braid_word, free_reduce,
                           induced_permutation, inverse, track_bands, word_from_text,
                           word_to_text, words_cyclic_equal)
-from bloch_braids.errors import DegenerateCrossing, StrandMismatch, UnresolvedCrossing
+from bloch_braids.errors import (DegenerateCrossing, DegeneracyEncountered, RefinementExhausted,
+                                 StrandMismatch, UnresolvedCrossing)
 from conftest import PI4
+
+TRACK_ERRORS = (DegeneracyEncountered, RefinementExhausted, DegenerateCrossing,
+                UnresolvedCrossing)
 
 
 class FakeTrajectory:
@@ -170,7 +174,7 @@ def test_extraction_matches_closure():
         try:
             traj = track_bands(spec, rng.uniform(0, 2 * np.pi))
             word = extract_braid_word(traj)
-        except Exception:
+        except TRACK_ERRORS:  # a draw the tracker cannot follow
             continue
         done += 1
         assert induced_permutation(word) == traj.closure
@@ -196,6 +200,19 @@ def test_extract_synthetic_single_crossing():
                            lambda t: (3.0 - t) + 0.4j * np.sin(t / 2)])
     word = extract_braid_word(traj)
     assert word_to_text(word) == "t1"
+
+
+def test_extract_two_crossings_in_one_step():
+    # strand 1 crosses strand 2 at t = 3.000 and strand 3 at t = 3.004: on
+    # 256 samples both swaps fall in one step, which the reader must halve
+    # until each part holds one; on 4096 samples they fall in separate steps
+    funcs = [lambda t: 10.0 * (t - 3.0) + 0.3j, lambda t: 0j, lambda t: 0.04 - 0.3j]
+    coarse = FakeTrajectory(funcs, samples=256)
+    step = np.searchsorted(coarse.t_grid, 3.0)
+    assert coarse.t_grid[step - 1] < 3.0 < 3.004 < coarse.t_grid[step]
+    word = extract_braid_word(coarse)
+    assert word_to_text(word) == "T1 T2"
+    assert word == extract_braid_word(FakeTrajectory(funcs, samples=4096))
 
 
 def test_extract_degenerate_crossing_raises():

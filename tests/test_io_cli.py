@@ -155,6 +155,14 @@ def test_cli_exit_codes(tmp_path, dimer_file, capsys):
         {"kind": "dimer", "params": {"alpha": 1.0, "beta": 1.5, "delta": 0.3, "gamma": 0.5, "m": 1}}))
     assert main(["bands", "--model", str(ep_model), "--out", str(tmp_path / "y.csv")]) == 2
     capsys.readouterr()
+    # purely imaginary bands: real parts tie at every base point, so no band
+    # order (and no braid word) exists
+    for alpha, beta, gamma in ((1.0, 1.0, 3.0), (0.0, 0.0, 1.0)):
+        ep_model.write_text(json.dumps({"kind": "dimer", "params": {
+            "alpha": alpha, "beta": beta, "delta": 0.0, "gamma": gamma}}))
+        assert main(["braid", "--model", str(ep_model), "--out", str(tmp_path / "w.json")]) == 2
+        assert "numerical failure: UnresolvedCrossing" in capsys.readouterr().err
+        assert not (tmp_path / "w.json").exists()
     assert main(["phase-diagram", "--model", dimer_file,
                  "--axis1", "nope:0:1:3", "--axis2", "gamma:0:1:3"]) == 1
     capsys.readouterr()

@@ -1,14 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from bloch_braids import (DimerParams, ModelSpec, bloch_matrix, dimer_bands_analytic,
                           eigenvalues, riemann_loop, sample_bands, solve_cubic,
                           track_bands)
-from bloch_braids.errors import DegeneracyEncountered
+from bloch_braids.errors import (DegenerateCrossing, DegeneracyEncountered, RefinementExhausted,
+                                 UnresolvedCrossing)
 from bloch_braids.models import characteristic_coefficients
-from bloch_braids.spectrum import (_COMPOSE3, _PERMS3, _PERMS3_ARR, _closure_permutation,
-                                   _eig_grid, _match_chain, _pair_gaps)
+from bloch_braids.spectrum import _closures, _eig_grid, _match_chain, _pair_gaps
 from conftest import PI4, random_dimer, random_trimer
+
+TRACK_ERRORS = (DegeneracyEncountered, RefinementExhausted, DegenerateCrossing,
+                UnresolvedCrossing)
 
 
 def sorted_c(values):
@@ -188,6 +193,16 @@ def test_track_raises_on_exceptional_point(fig1_dimer):
         track_bands(fig1_dimer(0.5), 0.0)
 
 
+@pytest.mark.parametrize("spec", [ModelSpec.dimer(1.0, 1.0, 0.0, 3.0),
+                                  ModelSpec.dimer(0.0, 0.0, 0.0, 1.0)],
+                         ids=["hopping", "no-hopping"])
+def test_track_raises_on_a_lasting_base_point_tie(spec):
+    # both bands are purely imaginary everywhere, so the real parts tie at
+    # every base point: no band order exists, and no braid word may be read
+    with pytest.raises(UnresolvedCrossing, match="tie at the base point"):
+        track_bands(spec, 0.0)
+
+
 def test_track_rejects_tiny_sample_counts(fig1_dimer):
     with pytest.raises(ValueError):
         track_bands(fig1_dimer(1.0), 0.0, samples=32)
@@ -200,7 +215,7 @@ def test_track_trace_and_det_conservation():
         spec = random_dimer(rng) if rng.random() < 0.5 else random_trimer(rng)
         try:
             traj = track_bands(spec, rng.uniform(0, 2 * np.pi))
-        except Exception:
+        except TRACK_ERRORS:  # a draw the tracker cannot follow
             continue
         done += 1
         idx = rng.integers(0, traj.samples, 20)
@@ -220,7 +235,7 @@ def test_track_band_continuity_and_closure():
         spec = random_dimer(rng) if rng.random() < 0.5 else random_trimer(rng)
         try:
             traj = track_bands(spec, rng.uniform(0, 2 * np.pi))
-        except Exception:
+        except TRACK_ERRORS:  # a draw the tracker cannot follow
             continue
         done += 1
         jumps = np.abs(np.diff(traj.bands, axis=1)).max()
@@ -263,6 +278,13 @@ def test_tracked_bands_solver_independent():
 
 # -- matching and refinement ---------------------------------------------------
 
+_PERMS3 = tuple(itertools.permutations(range(3)))
+_PERMS3_ARR = np.array(_PERMS3)
+# _COMPOSE3[a, b] = index of the permutation (P_a after P_b): x -> P_a[P_b[x]]
+_COMPOSE3 = np.array([[_PERMS3.index(tuple(pa[pb[x]] for x in range(3))) for pb in _PERMS3]
+                      for pa in _PERMS3])
+
+
 def per_step_chain(raw):
     """Plain reference for the three-band chain: one argmin and one composition per step."""
     p0 = np.lexsort((raw[0].imag, raw[0].real))
@@ -299,10 +321,11 @@ def test_trimer_chain_matches_per_step_reference(t, shuffle_rate):
     smooth = shuffled_trimer_samples(rng, t, shuffle_rate)
     noise = rng.normal(size=(t, 3)) + 1j * rng.normal(size=(t, 3))
     for raw in (smooth, noise):
-        indices, jumps = _match_chain(raw)
+        indices, bands, jumps = _match_chain(raw)
         ref_indices, ref_jumps = per_step_chain(raw)
         assert np.array_equal(indices, ref_indices)
         assert np.array_equal(jumps, ref_jumps)
+        assert np.array_equal(bands, np.take_along_axis(raw, ref_indices, axis=1))
     if shuffle_rate == 0.0:  # no reordering: every step keeps the solver order
         assert (_match_chain(smooth)[0] == np.lexsort((smooth[0].imag, smooth[0].real))).all()
 
@@ -320,8 +343,8 @@ def test_refined_trajectory_is_the_uniform_grid_trajectory(loop, fig3_trimer):
     t_grid = PI4 + np.linspace(0.0, 2 * np.pi, traj.samples + 1)
     assert np.array_equal(traj.t_grid, t_grid)
     raw = _eig_grid(spec, t_grid, traj.radius)
-    indices, jumps = _match_chain(raw)
-    bands = raw[np.arange(len(t_grid))[:, None], indices].T
+    _, bands, jumps = _match_chain(raw)
+    bands = bands.T
     # a tolerance, not equality: numpy's complex arithmetic can differ in the
     # last ulp with array layout, and the midpoints are evaluated separately
     tol = 1e-14 * traj.scale
@@ -329,7 +352,8 @@ def test_refined_trajectory_is_the_uniform_grid_trajectory(loop, fig3_trimer):
     assert abs(traj.min_gap - _pair_gaps(raw).min()) < tol
     assert abs(traj.max_jump - jumps.max()) < tol
     assert traj.max_jump < 0.5 * traj.min_gap
-    assert traj.closure == _closure_permutation(bands, 1e-8 * traj.scale)
+    image, closed = _closures(bands[None], np.array([1e-8 * traj.scale]))
+    assert closed[0] and traj.closure.image == tuple(image[0])
 
 
 GENERIC_2BAND = ModelSpec.generic([(0, [[0.4j, 1.0], [1.0, -0.4j]]),

@@ -6,9 +6,14 @@ from bloch_braids import (DimerParams, ModelSpec, bloch_matrix, bloch_matrix_z,
                           ep_zplane_numeric, find_eps_k, gamma_axis_references,
                           most_degenerate_point, phase_diagram, total_braid_index,
                           winding_number, zone_boundary_degeneracy_residual)
-from bloch_braids.errors import DegenerateModel, ReferenceOnBand, UnsupportedDegree
+from bloch_braids.errors import (DegenerateCrossing, DegeneracyEncountered, DegenerateModel,
+                                 ReferenceOnBand, RefinementExhausted, UnresolvedCrossing,
+                                 UnsupportedDegree)
 from bloch_braids.models import characteristic_coefficients
 from conftest import PI4
+
+TRACK_ERRORS = (DegeneracyEncountered, RefinementExhausted, DegenerateCrossing,
+                UnresolvedCrossing)
 
 
 # -- discriminant ---------------------------------------------------------------
@@ -368,24 +373,43 @@ def test_phase_diagram_rejects_unknown_axis(fig1_dimer):
         phase_diagram(fig1_dimer(1.0), ("m", 1.0, 3.0, 3), ("gamma", 0.0, 1.0, 3))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_row_engine_agrees_with_scalar_classifier(m):
-    from bloch_braids import cyclic_canonical, exponent_sum, word_to_text
-    from bloch_braids.sweep import dimer_row_classify
-    from bloch_braids.topology import _classify
-    gammas = np.linspace(-3.0, 3.0, 121)
-    results = dimer_row_classify(1.0, 1.5, 0.3, gammas, m, k0=PI4)
-    counts = {"settled": 0, "degenerate": 0, "fallback": 0}
-    for gamma, res in zip(gammas, results):
-        scalar = _classify(ModelSpec.dimer(1.0, 1.5, 0.3, float(gamma), m), PI4, 512)
-        if res is None:
-            counts["fallback"] += 1
-        elif res[0] == "degenerate":
-            counts["degenerate"] += 1
-            assert scalar is None, gamma
-        else:
-            counts["settled"] += 1
-            word, perm = res
-            assert scalar == (word_to_text(cyclic_canonical(word)), exponent_sum(word), perm), gamma
-    # the comparison above must not be vacuous: 117 cells settle in the batch
-    assert counts["settled"] >= 117 and counts["degenerate"] == 2
+ROWS = [pytest.param(("dimer", m), id=str(m)) for m in (1, 2, 3)] + [
+    pytest.param(("trimer", beta), id=f"trimer{beta}") for beta in (-1.2, 1.2)]
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_row_engine_agrees_with_scalar_classifier(row, fig1_dimer, fig3_trimer):
+    # one row call gives each cell the word, closure and failure type of the
+    # one-cell path; the row tracks and reads its cells as one batch
+    from bloch_braids import extract_braid_word, track_bands
+    from bloch_braids.sweep import dimer_row_classify, trimer_row_classify
+    kind, value = row
+    if kind == "dimer":
+        gammas = np.linspace(-3.0, 3.0, 121)
+        results = dimer_row_classify(1.0, 1.5, 0.3, gammas, value, k0=PI4)
+        specs = [fig1_dimer(g, m=value) for g in gammas.tolist()]
+    else:
+        # the fig3b rows; gamma = 0.5176 lies just above a fig4a boundary
+        # and refines to 8192 samples
+        gammas = np.linspace(0.02, 1.0, 50)
+        if value < 0:
+            gammas = np.append(gammas, 0.5176)
+        results = trimer_row_classify(1.0, value, 0.3, gammas, 0.7, 1, k0=PI4)
+        specs = [fig3_trimer(value, g) for g in gammas.tolist()]
+    assert len(results) == len(specs)
+    counts = {"refined": 0, "failed": 0}
+    for spec, res in zip(specs, results):
+        assert res is not None
+        try:
+            traj = track_bands(spec, PI4)
+            expected = (extract_braid_word(traj), traj.closure)
+        except TRACK_ERRORS as exc:
+            counts["failed"] += 1
+            counts["refined"] += isinstance(exc, RefinementExhausted)
+            assert type(res) is type(exc), spec
+            continue
+        counts["refined"] += traj.samples > 512
+        assert res == expected, spec
+    # the comparison above must not be vacuous
+    assert counts["refined"] >= 1
+    assert counts["failed"] >= (1 if kind == "dimer" else 0)
