@@ -7,6 +7,13 @@ structure are separated by lines of EPs in parameter space, and each phase
 carries an integer invariant: the total winding of det(H(k) - E_ref) around
 zero as k sweeps the zone, summed over the EP reference energies between the
 phase and the trivial (small gain-loss) regime.
+
+The discriminant Disc_E det(E - H(z)) is a Laurent polynomial in z, and its
+winding over the zone (zeros inside |z| < 1 minus the pole order at z = 0)
+equals the exponent sum of the braid word. A braid label can change only
+where one of its zeros crosses |z| = 1, so the gain-loss phase boundaries
+that fix the reference energies are found from that count and polished by
+Newton onto the exceptional point itself, without tracking any band.
 """
 
 from __future__ import annotations
@@ -21,15 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sweep
-from .braid import (Permutation, _ranks, cyclic_canonical, exponent_sum, extract_braid_word,
-                    word_to_text)
-from .errors import (DegenerateCrossing, DegeneracyEncountered, DegenerateModel,
-                     NonConvergent, ReferenceOnBand, RefinementExhausted,
-                     UnresolvedCrossing, UnsupportedDegree)
+# track_bands and extract_braid_word are looked up here by name by the
+# perfbench span tracer, although no function of this module calls them
+from .braid import (Permutation, _ranks, cyclic_canonical, exponent_sum,
+                    extract_braid_word, word_to_text)
+from .errors import (DegenerateModel, NonConvergent, ReferenceOnBand,
+                     UnsupportedDegree)
 from .models import (DimerParams, ModelSpec, _char_coeffs, _disc, _entries, bloch_matrix,
                      bloch_matrix_z)
-from .spectrum import (_det_grid, _eig_grid, _pair_gaps, _raw_scalar_factory, _roots_scalar,
-                       eigenvalues, track_bands)
+from .spectrum import (_det_grid, _eig_grid, _pair_gaps, _raw_scalar_factory,
+                       _roots_scalar, eigenvalues, track_bands)
 
 __all__ = [
     "discriminant",
@@ -55,10 +63,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 DEGENERATE = "DEGENERATE"
-
-_TRACK_ERRORS = (DegeneracyEncountered, RefinementExhausted,
-                 DegenerateCrossing, UnresolvedCrossing)
-
 
 # -- discriminants ---------------------------------------------------------
 
@@ -213,9 +217,11 @@ def find_eps_k(spec: ModelSpec, grid_samples: int = 4096,
 def most_degenerate_point(spec: ModelSpec, grid_samples: int = 2048) -> ExceptionalPoint:
     """Global minimum of the band gap over the zone, refined by golden section.
 
-    Unlike :func:`find_eps_k` this applies no acceptance threshold, so it is
-    the right tool exactly on (or within bisection distance of) a phase
-    boundary, where the minimal gap is tiny but not exactly zero.
+    Unlike :func:`find_eps_k` this applies no acceptance threshold, so it
+    reports the nearest approach of two bands near (not only on) a phase
+    boundary. Where the gap is smooth in k, golden section fixes k only to
+    about sqrt(machine epsilon); :func:`gamma_axis_references` places a
+    boundary on its exceptional point by Newton on the discriminant instead.
     """
     ks = np.linspace(0.0, _TWO_PI, grid_samples, endpoint=False)
     idx = int(np.argmin(_pair_gaps(_eig_grid(spec, ks))))
@@ -293,15 +299,41 @@ class _Laurent:
             out = out * self
         return out
 
-    def roots(self) -> np.ndarray:
-        """Nonzero roots (the pole prefactor z^lo is dropped)."""
+    def zeros(self) -> tuple[int, np.ndarray]:
+        """(lowest exponent, roots) with self = c * z^lowest * prod(z - root).
+
+        A coefficient below 1e-13 of the largest is taken as zero; each one
+        cut at the low end raises the lowest exponent by one, so no root is
+        zero.
+        """
         mag = np.abs(self.c).max()
         keep = np.nonzero(np.abs(self.c) > mag * 1e-13)[0]
         c = self.c[keep[0]:keep[-1] + 1]
-        if len(c) < 2:
-            return np.array([], dtype=complex)
-        rts = np.roots(c[::-1])
+        rts = np.roots(c[::-1]) if len(c) > 1 else np.array([], dtype=complex)
+        return self.lo + int(keep[0]), rts
+
+    def roots(self) -> np.ndarray:
+        """Nonzero roots (the pole prefactor z^lo is dropped)."""
+        rts = self.zeros()[1]
         return rts[np.abs(rts) > 1e-12]
+
+
+def _disc_z(spec: ModelSpec) -> _Laurent:
+    """Disc_E det(E - H(z)) of a 2- or 3-band model as a Laurent polynomial in z."""
+    return _disc(_char_coeffs(_entries(spec, _Laurent.mono(1.0, 1))))
+
+
+def _disc_count(spec: ModelSpec) -> int:
+    """Winding of the discriminant of det(E - H(e^{ik})) over the zone, with no sampling.
+
+    By the argument principle it is the number of zeros of the Laurent
+    discriminant inside |z| < 1 plus its lowest exponent (minus the order
+    of its pole at z = 0). It equals the exponent sum of the braid word and
+    can change only where a zero crosses |z| = 1: at an exceptional point
+    on the zone.
+    """
+    lo, rts = _disc_z(spec).zeros()
+    return lo + int(np.count_nonzero(np.abs(rts) < 1.0))
 
 
 def ep_zplane_numeric(spec: ModelSpec) -> list[ExceptionalPoint]:
@@ -315,9 +347,8 @@ def ep_zplane_numeric(spec: ModelSpec) -> list[ExceptionalPoint]:
     n = spec.n_bands
     if n not in (2, 3):
         raise ValueError("z-plane search supports 2- and 3-band models")
-    disc = _disc(_char_coeffs(_entries(spec, _Laurent.mono(1.0, 1))))
     out = []
-    for z in disc.roots():
+    for z in _disc_z(spec).roots():
         energy, pair = _coalescing_pair(eigenvalues(bloch_matrix_z(spec, complex(z))))
         out.append(ExceptionalPoint(complex(z), "z", energy, pair, spec))
     out.sort(key=lambda ep: abs(ep.location))
@@ -381,14 +412,85 @@ def winding_number(spec: ModelSpec, reference_energy: complex,
 
 # -- reference energies and the total braid index ----------------------------
 
-def _classify(spec: ModelSpec, k0: float, samples: int):
-    """(canonical word text, exponent sum, permutation) or None if degenerate."""
-    try:
-        traj = track_bands(spec, k0, samples)
-        word = extract_braid_word(traj)
-    except _TRACK_ERRORS:
-        return None
-    return (word_to_text(cyclic_canonical(word)), exponent_sum(word), traj.closure)
+def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int) -> list:
+    """Label each cell of a row that sets parameter ``name`` of ``spec`` to ``values``.
+
+    The row is tracked and read in one call of the family's row classifier.
+    A label is (canonical word text, exponent sum, closure permutation); a
+    cell that fails (on an exceptional point, at the refinement cap, at a
+    degenerate or unresolved crossing) gets the exception it failed with.
+    """
+    row_classify = {"dimer": sweep.dimer_row_classify,
+                    "trimer": sweep.trimer_row_classify}[spec.kind]
+    fields = {f: getattr(spec.params, f) for f in spec.params.__dataclass_fields__}
+    fields[name] = np.asarray(values, dtype=float)
+    return [res if isinstance(res, Exception)
+            else (word_to_text(cyclic_canonical(res[0])), exponent_sum(res[0]), res[1])
+            for res in row_classify(**fields, k0=k0, samples=samples)]
+
+
+def _brackets(key, lo: float, key_lo, hi: float, key_hi, resolution: float) -> list:
+    """Sub-intervals of [lo, hi] across which ``key`` changes, halved down to ``resolution``.
+
+    Bisection: each interval whose ends differ in key is halved, and every
+    half whose ends still differ is kept. A midpoint whose key is None (a
+    label that failed) ends the halving of its interval, which is returned
+    as it stands.
+    """
+    work = [(lo, key_lo, hi, key_hi)]
+    out = []
+    while work:
+        a, key_a, b, key_b = work.pop()
+        mid = 0.5 * (a + b)
+        key_mid = key(mid) if abs(b - a) >= resolution else None
+        if key_mid is None:
+            out.append((a, b))
+            continue
+        if key_mid != key_a:
+            work.append((a, key_a, mid, key_mid))
+        if key_mid != key_b:
+            work.append((mid, key_mid, b, key_b))
+    return out
+
+
+_NEWTON_STEPS = 20
+_NEWTON_DIFF = 1e-7
+
+
+def _polish(spec: ModelSpec, g_lo: float, g_hi: float) -> tuple[float, float]:
+    """(k*, gamma*) with Disc(e^{ik*}; gamma*) = 0 and gamma* between g_lo and g_hi.
+
+    Newton in the two real unknowns (k, gamma) on the one complex equation,
+    with central-difference derivatives, from the bracket midpoint and the
+    argument of the discriminant zero nearest |z| = 1 there. Raises
+    :class:`NonConvergent` when it has not converged within the step cap
+    or converges outside the bracket.
+    """
+    g = 0.5 * (g_lo + g_hi)
+    rts = _disc_z(spec.replace_param("gamma", g)).zeros()[1]
+    k = float(np.angle(rts[np.argmin(np.abs(np.abs(rts) - 1.0))]))
+
+    def disc(k: float, g: float) -> complex:
+        return _disc(_char_coeffs(_entries(spec, cmath.exp(1j * k), {"gamma": g})))
+
+    h = _NEWTON_DIFF
+    for _ in range(_NEWTON_STEPS):
+        f = disc(k, g)
+        d_k = (disc(k + h, g) - disc(k - h, g)) / (2.0 * h)
+        d_g = (disc(k, g + h) - disc(k, g - h)) / (2.0 * h)
+        jac = np.array([[d_k.real, d_g.real], [d_k.imag, d_g.imag]])
+        try:
+            step_k, step_g = np.linalg.solve(jac, [-f.real, -f.imag])
+        except np.linalg.LinAlgError:
+            break
+        k += step_k
+        g += step_g
+        if abs(step_k) < 1e-12 and abs(step_g) < 1e-12 * (1.0 + abs(g)):
+            if min(g_lo, g_hi) <= g <= max(g_lo, g_hi):
+                return float(k % _TWO_PI), float(g)
+            break
+    raise NonConvergent(f"no exceptional point found for gamma in [{min(g_lo, g_hi)}, "
+                        f"{max(g_lo, g_hi)}]: Newton ended at gamma = {g}, k = {k}")
 
 
 def gamma_axis_references(spec: ModelSpec, *, k0: float = np.pi / 4,
@@ -397,11 +499,18 @@ def gamma_axis_references(spec: ModelSpec, *, k0: float = np.pi / 4,
                           ) -> list[tuple[float, complex, tuple[int, int]]]:
     """Phase boundaries on the gamma axis between this point and gamma ~ 0.
 
-    Holding every other parameter fixed, the braid label is sampled on a
-    coarse gamma grid from just above zero up to the model's gamma; each
-    label change is bisected to ``gamma_resolution`` and the near-degenerate
-    energy at the boundary is recorded. Returns (gamma*, energy, band pair)
-    triples in order of increasing |gamma*|.
+    Holding every other parameter fixed, the discriminant count
+    (:func:`_disc_count`, the winding of the discriminant over the zone) is
+    evaluated on a coarse gamma grid from just above zero up to the model's
+    gamma, and each change is bisected to ``gamma_resolution``. Newton on
+    Disc(e^{ik}; gamma) = 0 then places each boundary on its exceptional
+    point (k*, gamma*), inside its bracket; the coalescing band pair there
+    and its double-root energy are recorded. As a cross-check the coarse grid is also labelled by
+    braid word, as one row tracked at ``samples`` from ``k0``; where two
+    settled neighbours differ in label but not in count, that interval is
+    bisected by label instead, with a warning. Returns (gamma*, energy, band
+    pair) triples in order of increasing |gamma*|; raises
+    :class:`NonConvergent` when a boundary cannot be polished.
     """
     if spec.kind == "generic":
         raise ValueError("gamma-axis scan needs a named gamma parameter")
@@ -409,38 +518,39 @@ def gamma_axis_references(spec: ModelSpec, *, k0: float = np.pi / 4,
     if g_target == 0.0:
         return []
 
-    def label(g: float):
-        return _classify(spec.replace_param("gamma", g), k0, samples)
+    def count(g: float) -> int:
+        return _disc_count(spec.replace_param("gamma", g))
 
-    gs = np.linspace(g_target * 1e-3, g_target, coarse_steps + 1)
-    labels = [label(g) for g in gs]
-    work = [(gs[i], labels[i], gs[i + 1], labels[i + 1])
-            for i in range(coarse_steps) if labels[i] != labels[i + 1]]
-    boundaries: list[tuple[float, complex, tuple[int, int]]] = []
-    while work:
-        glo, lab_lo, ghi, lab_hi = work.pop()
-        if abs(ghi - glo) < gamma_resolution:
-            g_star = 0.5 * (glo + ghi)
-            ep = most_degenerate_point(spec.replace_param("gamma", g_star))
-            boundaries.append((g_star, ep.energy, ep.bands))
-            continue
-        mid = 0.5 * (glo + ghi)
-        lab_mid = label(mid)
-        if lab_mid == lab_lo:
-            work.append((mid, lab_mid, ghi, lab_hi))
-        elif lab_mid == lab_hi:
-            work.append((glo, lab_lo, mid, lab_mid))
-        else:
-            work.append((glo, lab_lo, mid, lab_mid))
-            work.append((mid, lab_mid, ghi, lab_hi))
-    # merge boundaries re-found from both sides of a third label
+    def label(g: float):
+        lab = _classify(spec, "gamma", [g], k0, samples)[0]
+        return None if isinstance(lab, Exception) else lab
+
+    gs = np.linspace(g_target * 1e-3, g_target, coarse_steps + 1).tolist()
+    counts = [count(g) for g in gs]
+    labels = _classify(spec, "gamma", gs, k0, samples)
+    brackets = []
+    for i in range(coarse_steps):
+        lo, hi = gs[i], gs[i + 1]
+        if counts[i] != counts[i + 1]:
+            brackets += _brackets(count, lo, counts[i], hi, counts[i + 1], gamma_resolution)
+        elif (not isinstance(labels[i], Exception) and not isinstance(labels[i + 1], Exception)
+              and labels[i] != labels[i + 1]):
+            warnings.warn(f"braid label changes from {labels[i][0]!r} to {labels[i + 1][0]!r} "
+                          f"between gamma = {lo} and {hi} while the discriminant count stays "
+                          f"{counts[i]}; bisecting by label", RuntimeWarning, stacklevel=2)
+            brackets += _brackets(label, lo, labels[i], hi, labels[i + 1], gamma_resolution)
+    boundaries = []
+    for lo, hi in brackets:
+        k_star, g_star = _polish(spec, lo, hi)
+        entries = _entries(spec, cmath.exp(1j * k_star), {"gamma": g_star})
+        mean, pair = _coalescing_pair(eigenvalues(np.array(entries, dtype=complex)))
+        # the coalescing eigenvalues are each off by about sqrt(machine
+        # epsilon) here; their double root is the zero of d/dE det(E - H)
+        # nearest their mean, which is well conditioned
+        crit = np.roots(np.polyder(np.array([1.0, *_char_coeffs(entries)])))
+        boundaries.append((g_star, complex(crit[np.argmin(np.abs(crit - mean))]), pair))
     boundaries.sort(key=lambda be: abs(be[0]))
-    merged: list[tuple[float, complex, tuple[int, int]]] = []
-    for g_star, energy, pair in boundaries:
-        if merged and abs(g_star - merged[-1][0]) < 10 * gamma_resolution:
-            continue
-        merged.append((g_star, energy, pair))
-    return merged
+    return boundaries
 
 
 @dataclass(frozen=True)
@@ -457,9 +567,11 @@ def reference_energies(spec: ModelSpec, *, k0: float = np.pi / 4) -> list[comple
 
     The dimer's reference is always energy zero: both bands vanish on every
     exceptional line. For the trimer the gamma axis is scanned to the
-    trivial phase and each DISTINCT coalescing band pair contributes the
-    energy of its boundary crossing nearest the model's own gamma (a single
-    exceptional line crossed twice by the scan is one reference, not two).
+    trivial phase (:func:`gamma_axis_references`: boundaries located by the
+    discriminant count and polished onto their exceptional points) and each
+    DISTINCT coalescing band pair contributes the double-root energy of its
+    boundary crossing nearest the model's own gamma (a single exceptional
+    line crossed twice by the scan is one reference, not two).
     """
     if spec.kind == "dimer":
         return [0j]
@@ -639,23 +751,13 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
 
     vals1 = axis1.values()
     vals2 = axis2.values()
-    row_classify = {"dimer": sweep.dimer_row_classify,
-                    "trimer": sweep.trimer_row_classify}[template.kind]
 
     def classify_row(i: int) -> list[PhaseCell]:
         v1 = float(vals1[i])
-        p = template.replace_param(axis1.name, v1).params
-        values = {name: getattr(p, name) for name in field_names}
-        values[axis2.name] = vals2
-        row = []
-        for v2, res in zip(vals2.tolist(), row_classify(**values, m=p.m, k0=k0, samples=samples)):
-            if isinstance(res, Exception):
-                row.append(PhaseCell(v1, v2, DEGENERATE, None, None))
-            else:
-                word, perm = res
-                row.append(PhaseCell(v1, v2, word_to_text(cyclic_canonical(word)),
-                                     exponent_sum(word), perm))
-        return row
+        labels = _classify(template.replace_param(axis1.name, v1), axis2.name, vals2, k0, samples)
+        return [PhaseCell(v1, v2, DEGENERATE, None, None) if isinstance(lab, Exception)
+                else PhaseCell(v1, v2, *lab)
+                for v2, lab in zip(vals2.tolist(), labels)]
 
     workers = _thread_count(threads)
     if workers == 1:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -276,6 +279,110 @@ def test_reference_energies_dedupe_double_crossed_line(fig3_trimer):
     unique = reference_energies(fig3_trimer(0.2, 0.8))
     assert len(unique) == 1
     assert abs(unique[0] - refs[-1][1]) < 1e-9
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _config_models(commands):
+    out = {}
+    for path in sorted(CONFIGS.glob("fig*.json")):
+        doc = json.loads(path.read_text())
+        if doc["command"] in commands:
+            out[path.stem] = (ModelSpec.from_json_dict(doc["model"]), doc["options"])
+    return out
+
+
+def test_disc_count_equals_exponent_sum_on_configs():
+    # a second route to the braid invariant: the winding of the discriminant,
+    # counted from its zeros with no sampling
+    from bloch_braids import exponent_sum, extract_braid_word, track_bands
+    from bloch_braids.topology import _disc_count, _disc_z
+    models = _config_models({"bands", "braid", "riemann"})
+    assert len(models) == 18
+    for name, (spec, options) in models.items():
+        word = extract_braid_word(track_bands(spec, options.get("k0", PI4)))
+        assert _disc_count(spec) == exponent_sum(word), name
+    for name, (spec, _) in _config_models({"eps"}).items():
+        # fig1c2 and fig1c4 sit on an exceptional line: a zero is on the zone circle
+        zeros = _disc_z(spec).zeros()[1]
+        assert np.abs(np.abs(zeros) - 1.0).min() < 1e-12, name
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_disc_count_equals_exponent_sum_on_fig3b_rows(m):
+    from bloch_braids import exponent_sum
+    from bloch_braids.sweep import trimer_row_classify
+    from bloch_braids.topology import _disc_count
+    gammas = np.linspace(0.02, 1.0, 50)
+    checked = 0
+    for beta in (-1.2, -0.4, 0.8, 1.6):
+        results = trimer_row_classify(1.0, beta, 0.3, gammas, 0.7, m, k0=PI4)
+        for gamma, res in zip(gammas.tolist(), results):
+            if isinstance(res, Exception):
+                continue
+            spec = ModelSpec.trimer(1.0, beta, 0.3, gamma, 0.7, m)
+            assert _disc_count(spec) == exponent_sum(res[0]), (beta, gamma)
+            checked += 1
+    assert checked > 180
+
+
+TRIMER_BRAIDS = {name: spec for name, (spec, _) in _config_models({"braid"}).items()
+                 if spec.kind == "trimer"}
+
+
+def test_gamma_axis_boundaries_are_exceptional_points(monkeypatch):
+    from bloch_braids import topology
+    from bloch_braids.topology import _normalized_disc
+    assert len(TRIMER_BRAIDS) == 8
+    polished = []
+    polish = topology._polish
+
+    def recording_polish(spec, g_lo, g_hi):
+        k_star, g_star = polish(spec, g_lo, g_hi)
+        polished.append((spec, k_star, g_star))
+        assert min(g_lo, g_hi) <= g_star <= max(g_lo, g_hi)
+        return k_star, g_star
+
+    monkeypatch.setattr(topology, "_polish", recording_polish)
+    found = {}
+    for name, spec in TRIMER_BRAIDS.items():
+        refs = found[name] = gamma_axis_references(spec)
+        # one boundary per exceptional line, never one per side of it
+        assert len({pair for _, _, pair in refs}) == len(refs), name
+        alpha_bumped = float(np.nextafter(spec.params.alpha, 2.0))
+        refs_bumped = gamma_axis_references(spec.replace_param("alpha", alpha_bumped))
+        assert len(refs_bumped) == len(refs)
+        for (_, e, _), (_, e_bumped, _) in zip(refs, refs_bumped):
+            assert abs(e - e_bumped) <= 1e-12, name
+    assert [len(found[name]) for name in ("figS2a", "figS2b", "figS2c")] == [1, 1, 2]
+    assert len(polished) == 2 * sum(len(refs) for refs in found.values()) == 24
+    for spec, k_star, g_star in polished:
+        assert _normalized_disc(spec.replace_param("gamma", g_star), k_star) < 1e-10
+
+
+def test_gamma_axis_disputed_interval_bisects_by_label(monkeypatch):
+    # with a count that never changes, every label change is disputed: the
+    # scan warns and bisects it by label, then polishes onto the same points
+    from bloch_braids import topology
+    spec = TRIMER_BRAIDS["fig4a"]
+    expected = gamma_axis_references(spec)
+    monkeypatch.setattr(topology, "_disc_count", lambda spec: 0)
+    with pytest.warns(RuntimeWarning, match="bisecting by label"):
+        refs = gamma_axis_references(spec)
+    assert len(refs) == 2
+    for (g, e, pair), (g_want, e_want, pair_want) in zip(refs, expected):
+        assert pair == pair_want
+        assert abs(g - g_want) < 1e-12 and abs(e - e_want) < 1e-9
+
+
+def test_classify_keeps_the_failure():
+    # gamma = 0.5173 is within 3e-6 of a fig4a boundary: the tracker exhausts
+    # its refinement there, and the label says so instead of reading None
+    from bloch_braids.topology import _classify
+    labels = _classify(TRIMER_BRAIDS["fig4a"], "gamma", [0.5173, 0.5], PI4, 512)
+    assert isinstance(labels[0], RefinementExhausted)
+    assert labels[1][:2] == ("t2", 1)
 
 
 def test_total_braid_index_dimer(fig1_dimer):
