@@ -33,7 +33,7 @@ from .braid import cyclic_canonical, exponent_sum, extract_braid_word, word_to_t
 from .errors import (DegenerateCrossing, DegeneracyEncountered, NonConvergent,
                      ReferenceOnBand, RefinementExhausted, UnresolvedCrossing,
                      ZeroModulus)
-from .models import ModelSpec
+from .models import ModelSpec, _require_finite
 from .spectrum import riemann_loop, track_bands
 from .topology import (dimer_ep_zplane, find_eps_k, phase_diagram, total_braid_index,
                        winding_number)
@@ -90,6 +90,8 @@ class RunConfig:
                 if key not in opt:
                     raise ValueError(f"phase-diagram needs --{key}")
                 _parse_axis(opt[key])
+        _require_finite(**{key: float(opt[key]) for key in
+                           ("k0", "theta0", "r", "eref_real", "eref_imag") if key in opt})
         if self.command == "riemann" and float(opt.get("r", 1.0)) <= 0:
             raise ValueError("riemann radius must be positive")
         if "samples" in opt and int(opt["samples"]) < 64:

@@ -221,16 +221,9 @@ class ModelSpec:
     # -- JSON -------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        if self.kind == "dimer":
-            p = self.params
-            return {"kind": "dimer", "params": {"alpha": p.alpha, "beta": p.beta,
-                                                "delta": p.delta, "gamma": p.gamma, "m": p.m}}
-        if self.kind == "trimer":
-            p = self.params
-            return {"kind": "trimer", "params": {"alpha": p.alpha, "beta": p.beta,
-                                                 "delta": p.delta, "gamma": p.gamma,
-                                                 "v": p.v, "m": p.m}}
         p = self.params
+        if self.kind != "generic":
+            return {"kind": self.kind, "params": dict(vars(p))}
         return {"kind": "generic", "params": {
             "dimension": p.dimension,
             "terms": [{"n": t.n,
@@ -245,14 +238,10 @@ class ModelSpec:
             params = doc["params"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"model document must have 'kind' and 'params': {exc}") from exc
-        if kind == "dimer":
-            return ModelSpec.dimer(float(params["alpha"]), float(params["beta"]),
-                                   float(params["delta"]), float(params["gamma"]),
-                                   int(params.get("m", 1)))
-        if kind == "trimer":
-            return ModelSpec.trimer(float(params["alpha"]), float(params["beta"]),
-                                    float(params["delta"]), float(params["gamma"]),
-                                    float(params["v"]), int(params.get("m", 1)))
+        if kind in ("dimer", "trimer"):
+            names = ["alpha", "beta", "delta", "gamma"] + (["v"] if kind == "trimer" else [])
+            return getattr(ModelSpec, kind)(*(float(params[name]) for name in names),
+                                            int(params.get("m", 1)))
         if kind == "generic":
             terms = []
             for t in params["terms"]:

@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .braid import Permutation, _match, _ranks
-from .errors import DegeneracyEncountered, RefinementExhausted, UnresolvedCrossing
+from .errors import (DegeneracyEncountered, NonConvergent, ReferenceOnBand, RefinementExhausted,
+                     UnresolvedCrossing)
 from .models import (DimerParams, ModelSpec, _char_coeffs, _det_minus, _dimer_entries,
                      _entries)
 
@@ -207,9 +208,9 @@ def _eig_grid(spec: ModelSpec, tvals, radius=None, values=None) -> np.ndarray:
     return _roots(_entries(spec, _points(tvals, radius), values))
 
 
-def _det_grid(spec: ModelSpec, tvals, e_ref: complex) -> np.ndarray:
-    """det(H - E_ref) over a momentum grid."""
-    e = _entries(spec, _points(tvals, None))
+def _det_grid(spec: ModelSpec, tvals, e_ref: complex, values=None) -> np.ndarray:
+    """det(H - E_ref) over a momentum grid; ``values`` as in ``_entries``."""
+    e = _entries(spec, _points(tvals, None), values)
     if len(e) > 3:
         return np.linalg.det(_matrix(e) - e_ref * np.eye(len(e)))
     return _det_minus(e, e_ref)
@@ -364,7 +365,7 @@ class _Tracked:
 _REFINE_BATCH_SAMPLES = 1 << 18   # samples of one refinement batch: 4 cells at the cap
 
 
-def _track(raw_at, cells, t0: float, k: int, failures: dict, kept=None, nudges: int = 0):
+def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: int = 0):
     """Track a batch of cells over [t0, t0 + 2pi] on k samples.
 
     ``raw_at(cells, t)`` gives the raw eigenvalues (..., N) of the cells
@@ -435,7 +436,7 @@ def _track(raw_at, cells, t0: float, k: int, failures: dict, kept=None, nudges: 
 
 
 def _track_one(spec: ModelSpec, t0: float, samples: int, radius) -> BandTrajectory:
-    failures: dict = {}
+    failures: list = [None]
     for g in _track(lambda cells, t: _eig_grid(spec, t, radius), np.arange(1), float(t0),
                     int(samples), failures):
         return BandTrajectory(
@@ -473,3 +474,56 @@ def riemann_loop(spec: ModelSpec, radius: float, samples: int = TRACK_SAMPLES_DE
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     return _track_one(spec, theta0, samples, float(radius))
+
+
+# -- spectral winding --------------------------------------------------------
+
+def _wind(det_at, n: int, samples: int, cap: int) -> list:
+    """Windings of det(H - E_ref) about zero over [0, 2pi], for a batch of n cells.
+
+    ``det_at(cells, t)`` gives det(H - E_ref) of the cells indexed by
+    ``cells`` at loop parameters ``t``, broadcast against each other. Each
+    cell's grid doubles, keeping its samples and evaluating only the new
+    midpoints, until every phase step is below pi/4, up to ``cap`` samples.
+    Per cell: ``(nu, raw, residual, samples)``, or the exception it failed
+    with (:class:`ReferenceOnBand`, :class:`NonConvergent`).
+    """
+    if samples < 64:
+        raise ValueError(f"need at least 64 samples, got {samples}")
+    results: list = [None] * n
+    todo = [(np.arange(n), int(samples), None)]
+    while todo:
+        cells, k, kept = todo.pop()
+        tvals = np.linspace(0.0, _TWO_PI, k + 1)
+        if kept is None:
+            det = det_at(cells[:, None], tvals).reshape(len(cells), k + 1)
+        else:   # the previous level's determinants are the even points of this grid
+            det = np.empty((len(cells), k + 1), dtype=complex)
+            det[:, ::2], det[:, 1::2] = kept, det_at(cells[:, None], tvals[1::2])
+        mags = np.abs(det)
+        steps = (np.diff(np.angle(det), axis=1) + np.pi) % _TWO_PI - np.pi
+        rest = []
+        for i, (low, high, step, total) in enumerate(zip(
+                mags.min(axis=1).tolist(), mags.max(axis=1).tolist(),
+                np.abs(steps).max(axis=1).tolist(), steps.sum(axis=1).tolist())):
+            high, raw = 1.0 + high, total / _TWO_PI
+            on_band, coarse = low < 1e-12 * high, not step < np.pi / 4.0
+            if coarse and not on_band and k < cap:
+                rest.append(i)
+            elif on_band or coarse and low < 1e-4 * high:
+                # at the cap: a zero pinned between samples keeps a step near pi
+                results[cells[i]] = ReferenceOnBand(
+                    f"det(H - E_ref) dips to {low:.3e} at {k} samples; the reference "
+                    f"energy lies on (or numerically on) a band")
+            elif coarse:
+                results[cells[i]] = NonConvergent(f"phase steps still above pi/4 at {k} samples")
+            else:
+                nu = round(raw)
+                results[cells[i]] = ((nu, raw, abs(raw - nu), k) if abs(raw - nu) < 1e-6 else
+                                     NonConvergent(f"winding {raw} is not integral "
+                                                   f"(residual {abs(raw - nu):.3e})"))
+        batch = max(1, _REFINE_BATCH_SAMPLES // (2 * k + 1))
+        todo += [(cells[rest[s:s + batch]], 2 * k, det[rest[s:s + batch]])
+                 for s in range(0, len(rest), batch)]
+        del det, mags, steps
+    return results

@@ -19,6 +19,7 @@ Newton onto the exceptional point itself, without tracking any band.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 import warnings
@@ -32,12 +33,11 @@ from . import sweep
 # perfbench span tracer, although no function of this module calls them
 from .braid import (Permutation, _ranks, cyclic_canonical, exponent_sum,
                     extract_braid_word, word_to_text)
-from .errors import (DegenerateModel, NonConvergent, ReferenceOnBand,
-                     UnsupportedDegree)
+from .errors import DegenerateModel, NonConvergent, UnsupportedDegree
 from .models import (DimerParams, ModelSpec, _char_coeffs, _disc, _entries, bloch_matrix,
                      bloch_matrix_z)
 from .spectrum import (_det_grid, _eig_grid, _pair_gaps, _raw_scalar_factory,
-                       _roots_scalar, eigenvalues, track_bands)
+                       _roots_scalar, _wind, eigenvalues, track_bands)
 
 __all__ = [
     "discriminant",
@@ -167,14 +167,7 @@ def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
 def _coalescing_pair(ev) -> tuple[complex, tuple[int, int]]:
     """Mean energy and (1-based, real-part-ranked) indices of the closest pair."""
     ev = ev[np.argsort(_ranks(ev))]
-    n = len(ev)
-    best = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(ev[i] - ev[j])
-            if best is None or gap < best[0]:
-                best = (gap, i, j)
-    _, i, j = best
+    i, j = min(itertools.combinations(range(len(ev)), 2), key=lambda p: abs(ev[p[0]] - ev[p[1]]))
     return 0.5 * (ev[i] + ev[j]), (i + 1, j + 1)
 
 
@@ -252,10 +245,6 @@ class _Laurent:
     def const(x) -> "_Laurent":
         return _Laurent(0, [x])
 
-    @staticmethod
-    def mono(x, n: int) -> "_Laurent":
-        return _Laurent(n, [x])
-
     def __add__(self, other):
         if not isinstance(other, _Laurent):
             other = _Laurent.const(other)
@@ -320,7 +309,7 @@ class _Laurent:
 
 def _disc_z(spec: ModelSpec) -> _Laurent:
     """Disc_E det(E - H(z)) of a 2- or 3-band model as a Laurent polynomial in z."""
-    return _disc(_char_coeffs(_entries(spec, _Laurent.mono(1.0, 1))))
+    return _disc(_char_coeffs(_entries(spec, _Laurent(1, [1.0]))))
 
 
 def _disc_count(spec: ModelSpec) -> int:
@@ -375,39 +364,18 @@ def winding_number(spec: ModelSpec, reference_energy: complex,
                    samples: int = 1024) -> WindingResult:
     """Accumulated phase of det(H(k) - E_ref) over the zone, in units of 2pi.
 
-    The grid doubles until every phase step is below pi/4; the total is then
-    an integer to well below 1e-6. Raises :class:`ReferenceOnBand` when the
-    reference energy lies on a band (the determinant vanishes) and
-    :class:`NonConvergent` when refinement or rounding fails.
+    From ``samples`` (at least 64) the grid doubles until every phase step
+    is below pi/4; a doubling keeps the determinants it has and evaluates
+    only the new midpoints. The total is then an integer to well below
+    1e-6. Raises :class:`ReferenceOnBand` when the reference energy lies on
+    a band (the determinant vanishes) and :class:`NonConvergent` when
+    refinement or rounding fails.
     """
     e_ref = complex(reference_energy)
-    k = int(samples)
-    while True:
-        tvals = np.linspace(0.0, _TWO_PI, k + 1)
-        dets = _det_grid(spec, tvals, e_ref)
-        mags = np.abs(dets)
-        if mags.min() < 1e-12 * (1.0 + mags.max()):
-            raise ReferenceOnBand(
-                f"det(H - E_ref) ~ {mags.min():.3e} on the grid; E_ref={e_ref} lies on a band")
-        steps = np.diff(np.angle(dets))
-        steps = (steps + np.pi) % _TWO_PI - np.pi
-        if np.abs(steps).max() < np.pi / 4.0:
-            break
-        if k >= _WINDING_SAMPLES_MAX:
-            # a determinant zero pinned between samples keeps the local phase
-            # step at ~pi no matter how fine the grid gets
-            if mags.min() < 1e-4 * (1.0 + mags.max()):
-                raise ReferenceOnBand(
-                    f"det(H - E_ref) dips to {mags.min():.3e} and phase steps stay coarse; "
-                    f"E_ref={e_ref} lies on (or numerically on) a band")
-            raise NonConvergent(f"phase steps still above pi/4 at {k} samples")
-        k *= 2
-    raw = float(steps.sum() / _TWO_PI)
-    nu = int(round(raw))
-    residual = abs(raw - nu)
-    if residual >= 1e-6:
-        raise NonConvergent(f"winding {raw} is not integral (residual {residual:.3e})")
-    return WindingResult(nu, raw, residual, e_ref, k)
+    res = _wind(lambda cells, t: _det_grid(spec, t, e_ref), 1, samples, _WINDING_SAMPLES_MAX)[0]
+    if isinstance(res, Exception):
+        raise res
+    return WindingResult(*res[:3], e_ref, res[3])
 
 
 # -- reference energies and the total braid index ----------------------------
@@ -434,15 +402,16 @@ def _brackets(key, lo: float, key_lo, hi: float, key_hi, resolution: float) -> l
 
     Bisection: each interval whose ends differ in key is halved, and every
     half whose ends still differ is kept. A midpoint whose key is None (a
-    label that failed) ends the halving of its interval, which is returned
-    as it stands.
+    label that failed), or one that no longer lies strictly inside its
+    interval in floating point, ends the halving of its interval, which is
+    returned as it stands.
     """
     work = [(lo, key_lo, hi, key_hi)]
     out = []
     while work:
         a, key_a, b, key_b = work.pop()
         mid = 0.5 * (a + b)
-        key_mid = key(mid) if abs(b - a) >= resolution else None
+        key_mid = key(mid) if abs(b - a) >= resolution and mid not in (a, b) else None
         if key_mid is None:
             out.append((a, b))
             continue
@@ -510,10 +479,14 @@ def gamma_axis_references(spec: ModelSpec, *, k0: float = np.pi / 4,
     settled neighbours differ in label but not in count, that interval is
     bisected by label instead, with a warning. Returns (gamma*, energy, band
     pair) triples in order of increasing |gamma*|; raises
-    :class:`NonConvergent` when a boundary cannot be polished.
+    :class:`NonConvergent` when a boundary cannot be polished, and
+    ``ValueError`` unless ``coarse_steps >= 1`` and ``gamma_resolution > 0``.
     """
     if spec.kind == "generic":
         raise ValueError("gamma-axis scan needs a named gamma parameter")
+    if not (coarse_steps >= 1 and gamma_resolution > 0):
+        raise ValueError(f"need coarse_steps >= 1 and gamma_resolution > 0, "
+                         f"got {coarse_steps} and {gamma_resolution}")
     g_target = spec.params.gamma
     if g_target == 0.0:
         return []

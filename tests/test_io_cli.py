@@ -168,6 +168,20 @@ def test_cli_exit_codes(tmp_path, dimer_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", [
+    ["bands", "--k0", "nan"], ["braid", "--k0", "inf"], ["winding", "--eref", "nan"],
+    ["winding", "--eref", "0,-inf"], ["riemann", "--r", "inf"], ["riemann", "--theta0", "nan"],
+    ["phase-diagram", "--axis1", "beta:1.4:1.6:3", "--axis2", "gamma:-1:1:5", "--k0", "nan"]],
+    ids=["bands-k0", "braid-k0", "winding-eref", "winding-eref-imag", "riemann-r",
+         "riemann-theta0", "phase-diagram-k0"])
+def test_cli_rejects_non_finite_options(args, dimer_file, tmp_path, capsys):
+    # these ran to the refinement cap and exited 2 as numerical failures
+    out = tmp_path / "out"
+    assert main([args[0], "--model", dimer_file, "--out", str(out), *args[1:]]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_dump_config_reruns_identically(dimer_file, tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     cfg = tmp_path / "cfg.json"

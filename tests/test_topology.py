@@ -10,8 +10,8 @@ from bloch_braids import (DimerParams, ModelSpec, bloch_matrix, bloch_matrix_z,
                           most_degenerate_point, phase_diagram, total_braid_index,
                           winding_number, zone_boundary_degeneracy_residual)
 from bloch_braids.errors import (DegenerateCrossing, DegeneracyEncountered, DegenerateModel,
-                                 ReferenceOnBand, RefinementExhausted, UnresolvedCrossing,
-                                 UnsupportedDegree)
+                                 NonConvergent, ReferenceOnBand, RefinementExhausted,
+                                 UnresolvedCrossing, UnsupportedDegree)
 from bloch_braids.models import characteristic_coefficients
 from conftest import PI4
 
@@ -256,6 +256,64 @@ def test_winding_reference_on_band(fig1_dimer):
         winding_number(spec, complex(e_on_band))
 
 
+def test_winding_rejects_fewer_than_64_samples():
+    # on the grid {0, 2pi} of one sample the single phase step is 0, which
+    # read as nu = 0 where the index is -1
+    spec = _config_models({"bands"})["fig1c1"][0]
+    assert winding_number(spec, 0.0, 64).nu == -1
+    for samples in (1, 2, 63):
+        with pytest.raises(ValueError, match="at least 64 samples"):
+            winding_number(spec, 0.0, samples)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.5, 2.5])
+def test_winding_row_agrees_with_winding_number(beta):
+    # fig1b rows (alpha = 1, delta = 0.3); the gammas include the row's
+    # exceptional lines, where E_ref = 0 lies on a band, and points 1e-9
+    # beside them, where the phase steps refine deep
+    from bloch_braids.sweep import dimer_winding_row
+    lines = [g for g, _ in dimer_ep_lines(1.0, beta)]
+    gammas = np.concatenate([np.linspace(-3.0, 3.0, 600), lines, np.add(lines, 1e-9)])
+    nus, ok = dimer_winding_row(1.0, beta, 0.3, gammas, 1)
+    assert ok.sum() >= 600 and not ok.all()
+    for gamma, nu, good in zip(gammas.tolist(), nus.tolist(), ok.tolist()):
+        spec = ModelSpec.dimer(1.0, beta, 0.3, gamma, 1)
+        if good:
+            assert winding_number(spec, 0.0).nu == nu, gamma
+            continue
+        try:
+            result = winding_number(spec, 0.0)
+        except (ReferenceOnBand, NonConvergent):
+            continue
+        assert result.samples > 1 << 16, gamma
+
+
+@pytest.mark.parametrize("case", ["dimer", "trimer"])
+def test_refined_winding_is_the_uniform_grid_winding(case):
+    # a reference 1e-3 (3e-3) off a band refines from 64 samples to 8192
+    # (2048); kept samples and midpoints together are that grid bit for bit
+    from bloch_braids.spectrum import _det_grid, _eig_grid, _wind
+    spec, offset = {"dimer": (ModelSpec.dimer(1.0, 1.5, 0.3, 1.0, 1), 1e-3),
+                    "trimer": (TRIMER_BRAIDS["fig4a"], 3e-3)}[case]
+    e_ref = complex(_eig_grid(spec, np.array([0.7]))[0, 0] + 1j * offset)
+    refined = winding_number(spec, e_ref, 64)
+    assert 64 < refined.samples <= 8192
+    fresh = winding_number(spec, e_ref, refined.samples)
+    assert fresh.samples == refined.samples
+    assert (fresh.raw, fresh.residual, fresh.nu) == (refined.raw, refined.residual, refined.nu)
+    seen = []
+
+    def det_at(cells, t):
+        seen.append(t)
+        return _det_grid(spec, t, e_ref)
+
+    assert _wind(det_at, 1, 64, 1 << 20)[0][1:] == (refined.raw, refined.residual,
+                                                     refined.samples)
+    assert len(seen) == np.log2(refined.samples // 32)
+    assert np.array_equal(np.sort(np.concatenate(seen)),
+                          np.linspace(0.0, 2 * np.pi, refined.samples + 1))
+
+
 # -- reference energies and total index ---------------------------------------------------
 
 def test_gamma_axis_references_trimer(fig3_trimer):
@@ -383,6 +441,30 @@ def test_classify_keeps_the_failure():
     labels = _classify(TRIMER_BRAIDS["fig4a"], "gamma", [0.5173, 0.5], PI4, 512)
     assert isinstance(labels[0], RefinementExhausted)
     assert labels[1][:2] == ("t2", 1)
+
+
+def test_gamma_axis_scan_rejects_empty_or_zero_steps():
+    # coarse_steps = 0 returned [] on fig4a, which has two boundaries, and
+    # gamma_resolution = 0 bisected forever
+    spec = TRIMER_BRAIDS["fig4a"]
+    for options in ({"coarse_steps": 0}, {"coarse_steps": -3}, {"gamma_resolution": 0.0},
+                    {"gamma_resolution": -1e-5}, {"gamma_resolution": float("nan")}):
+        with pytest.raises(ValueError, match="coarse_steps >= 1 and gamma_resolution > 0"):
+            gamma_axis_references(spec, **options)
+
+
+def test_brackets_stop_where_the_interval_stops_shrinking():
+    # a resolution below the float spacing ends at two adjacent doubles
+    from bloch_braids.topology import _brackets
+    calls = []
+
+    def key(g):
+        calls.append(g)
+        assert len(calls) < 2000, "the bisection does not end"
+        return g > 0.3
+
+    (a, b), = _brackets(key, 0.0, False, 1.0, True, 1e-300)
+    assert a <= 0.3 < b and b == np.nextafter(a, 1.0)
 
 
 def test_total_braid_index_dimer(fig1_dimer):
