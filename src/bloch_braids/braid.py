@@ -391,20 +391,19 @@ def extract_braid_word(trajectory) -> BraidWord:
     Scanning the zone upward from the base point, every swap in the
     real-part order of two adjacent strands emits one letter for the rank
     the pair occupied just before the swap. The crossing is localised by
-    bisection (re-evaluating the model between samples through
-    ``trajectory.evaluate_raw``) and the sign is read there: +1 when the
-    strand that was upper in real part lies above in imaginary part at the
-    crossing, -1 otherwise. This convention makes the exponent sum of the
+    bisection, which re-evaluates the model between samples through
+    ``trajectory.evaluate_raw``, one call with an array of loop parameters
+    per step, and the sign is read there: +1 when the strand that was
+    upper in real part lies above in imaginary part at the crossing, -1
+    otherwise. This convention makes the exponent sum of the
     word coincide with the spectral winding index.
 
     Raises :class:`DegenerateCrossing` when a crossing has both parts equal
     (an exceptional point) and :class:`UnresolvedCrossing` when two
     crossings cannot be separated.
     """
-    evaluate = trajectory.evaluate_raw
     word, = _read_words(trajectory.t_grid, np.asarray(trajectory.bands)[None],
-                        np.array([trajectory.scale]),
-                        lambda cells, t: np.array([evaluate(x) for x in t.tolist()]))
+                        np.array([trajectory.scale]), lambda cells, t: trajectory.evaluate_raw(t))
     if isinstance(word, Exception):
         raise word
     return word

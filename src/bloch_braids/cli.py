@@ -30,16 +30,11 @@ import numpy as np
 
 from . import io as bio
 from .braid import cyclic_canonical, exponent_sum, extract_braid_word, word_to_text
-from .errors import (DegenerateCrossing, DegeneracyEncountered, NonConvergent,
-                     ReferenceOnBand, RefinementExhausted, UnresolvedCrossing,
-                     ZeroModulus)
+from .errors import NumericalFailure
 from .models import ModelSpec, _require_finite
 from .spectrum import riemann_loop, track_bands
 from .topology import (dimer_ep_zplane, find_eps_k, phase_diagram, total_braid_index,
                        winding_number)
-
-_NUMERICAL_ERRORS = (DegeneracyEncountered, RefinementExhausted, DegenerateCrossing,
-                     UnresolvedCrossing, ReferenceOnBand, NonConvergent, ZeroModulus)
 
 _COMMANDS = ("bands", "braid", "eps", "winding", "phase-diagram", "riemann")
 
@@ -213,7 +208,7 @@ def run(config: RunConfig) -> int:
         return 1
     try:
         summary = _RUNNERS[config.command](config, spec)
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -232,8 +227,16 @@ def _add_common(sub: argparse.ArgumentParser, with_format: bool = True) -> None:
                      help="also save this run as a re-runnable config file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit status 1, the status of invalid usage."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bloch-braids",
         description="Braiding of complex Bloch bands in 1D gain-loss lattices.")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -283,6 +286,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         options = {"k0": args.k0, "samples": args.samples}
     elif args.command == "winding":
         parts = str(args.eref).split(",")
+        if len(parts) > 2:
+            raise ValueError(f"--eref takes RE or RE,IM, got {args.eref!r}")
         options = {"eref_real": float(parts[0]),
                    "eref_imag": float(parts[1]) if len(parts) > 1 else 0.0,
                    "samples": args.samples}

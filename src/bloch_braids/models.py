@@ -26,10 +26,11 @@ has period 2*pi.
 
 Each family's H(z) is written once, in the kernel section of this
 module, next to one rule from entries to characteristic coefficients and
-one discriminant rule; every grid, determinant, discriminant and scalar
-evaluator of the package derives from them. :meth:`ModelSpec.fourier_terms`
-and :func:`characteristic_coefficients` state the same objects by other
-routes and are kept as independent references for the tests.
+one discriminant rule; every eigenvalue, determinant and discriminant of
+the package, and the Laurent coefficients of the discriminant in z, derive
+from them. :meth:`ModelSpec.fourier_terms` and
+:func:`characteristic_coefficients` state the same objects by other routes
+and are kept as independent references for the tests.
 """
 
 from __future__ import annotations
@@ -285,11 +286,12 @@ class BlochMatrix:
 #
 # Each family's H(z) is written once, with arithmetic operators only and with
 # z entering the dimer and trimer only through w = z**m and 1/w. The same
-# formulas therefore evaluate Python complex scalars (crossing bisection),
-# numpy grids, parameter arrays broadcast against sample arrays (sweep
-# rows) and Laurent polynomials (exact z-plane discriminants). Entries
-# come back as rows, ``e[i][j]``; an entry may be a plain number where it
-# does not depend on z.
+# formulas therefore evaluate Python complex scalars (Newton on the
+# discriminant), numpy grids, and parameter arrays broadcast against sample
+# arrays (sweep rows). The z-plane discriminant needs no polynomial
+# arithmetic: its Laurent coefficients come from a discrete Fourier
+# transform of its values at roots of unity. Entries come back as rows,
+# ``e[i][j]``; an entry may be a plain number where it does not depend on z.
 
 def _dimer_entries(alpha, beta, delta, gamma, w):
     """Rows of the dimer H at w = z**m."""
@@ -314,7 +316,7 @@ def _fourier_entries(terms, z):
 
 
 def _entries(spec: ModelSpec, z, values=None):
-    """Rows of H(z) for any model; ``z`` may be a scalar, an array or a Laurent monomial.
+    """Rows of H(z) for any model; ``z`` may be a scalar or an array.
 
     ``values`` replaces named parameters, e.g. by per-cell arrays of a sweep row.
     """

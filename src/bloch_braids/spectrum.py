@@ -15,12 +15,10 @@ permutation) is recorded on the trajectory.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
 
 import numpy as np
 
@@ -66,12 +64,12 @@ def dimer_bands_analytic(p: DimerParams, k):
     return _quadratic(_dimer_entries(p.alpha, p.beta, p.delta, p.gamma, np.exp(1j * p.m * k)))
 
 
-def _quadratic(e, sqrt=np.sqrt):
+def _quadratic(e):
     """Both eigenvalues of a 2x2 H from its entries, as (mean - root, mean + root).
 
     The half-difference of the diagonal avoids the cancellation that
-    b^2/4 - c suffers when the trace is large. Pass ``cmath.sqrt`` for
-    Python scalars.
+    b^2/4 - c suffers when the trace is large. Entries may be numbers or
+    broadcastable arrays.
     """
     (e11, e12), (e21, e22) = e
     # Release the off-diagonal arrays before the results are allocated: on
@@ -81,7 +79,7 @@ def _quadratic(e, sqrt=np.sqrt):
     product = e12 * e21
     del e12, e21
     mean = 0.5 * (e11 + e22)
-    off = sqrt((0.5 * (e11 - e22)) ** 2 + product + 0j)
+    off = np.sqrt((0.5 * (e11 - e22)) ** 2 + product + 0j)
     return mean - off, mean + off
 
 
@@ -122,35 +120,6 @@ def _cubic_roots_vec(b, c, d):
     return roots
 
 
-def _cubic_scalar(c2, c1, c0) -> np.ndarray:
-    """:func:`_cubic_roots_vec` for one cubic, in cmath arithmetic."""
-    pp = c1 - c2 * c2 / 3.0
-    qq = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
-    s = cmath.sqrt((qq / 2.0) ** 2 + (pp / 3.0) ** 3)
-    u3 = -qq / 2.0 + s
-    alt = -qq / 2.0 - s
-    if abs(alt) > abs(u3):
-        u3 = alt
-    if u3 == 0.0:
-        base = -c2 / 3.0
-        return np.array([base, base, base])
-    u = u3 ** (1.0 / 3.0)
-    v = -pp / (3.0 * u)
-    omega = complex(-0.5, 0.8660254037844386)
-    roots = [u + v - c2 / 3.0,
-             u * omega + v / omega - c2 / 3.0,
-             u / omega + v * omega - c2 / 3.0]
-    scale = 1.0 + abs(c2) + abs(c1) + abs(c0)
-    out = []
-    for rt in roots:
-        df = (3.0 * rt + 2.0 * c2) * rt + c1
-        if abs(df) > 1e-12 * scale:
-            f = ((rt + c2) * rt + c1) * rt + c0
-            rt = rt - f / df
-        out.append(rt)
-    return np.array(out)
-
-
 def solve_cubic(coefficients) -> np.ndarray:
     """Roots of a monic cubic given as ``[1, b, c, d]`` (descending powers)."""
     coefficients = np.asarray(coefficients, dtype=complex)
@@ -176,16 +145,6 @@ def _roots(e) -> np.ndarray:
     if n == 3:
         return _cubic_roots_vec(*_char_coeffs(e))
     return np.linalg.eigvals(_matrix(e))
-
-
-def _roots_scalar(e) -> np.ndarray:
-    """:func:`_roots` for entries that are Python scalars, without numpy per-call cost."""
-    n = len(e)
-    if n == 2:
-        return np.array(_quadratic(e, cmath.sqrt))
-    if n == 3:
-        return _cubic_scalar(*_char_coeffs(e))
-    return np.linalg.eigvals(np.array(e, dtype=complex))
 
 
 def eigenvalues(matrix) -> np.ndarray:
@@ -214,17 +173,6 @@ def _det_grid(spec: ModelSpec, tvals, e_ref: complex, values=None) -> np.ndarray
     if len(e) > 3:
         return np.linalg.det(_matrix(e) - e_ref * np.eye(len(e)))
     return _det_minus(e, e_ref)
-
-
-def _raw_scalar_factory(spec: ModelSpec, radius) -> Callable[[float], np.ndarray]:
-    """Scalar evaluator of raw eigenvalues at one loop parameter.
-
-    Crossing bisection calls this thousands of times per sweep, so it stays
-    in Python complex arithmetic: a one-point numpy grid costs an order of
-    magnitude more per call.
-    """
-    r = 1.0 if radius is None else float(radius)
-    return lambda t: _roots_scalar(_entries(spec, r * cmath.exp(1j * t)))
 
 
 # -- matching --------------------------------------------------------------
@@ -319,7 +267,6 @@ class BandTrajectory:
     scale: float = 1.0
     min_gap: float = 0.0
     max_jump: float = 0.0
-    _evaluator: Callable[[float], np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def n_bands(self) -> int:
@@ -341,11 +288,9 @@ class BandTrajectory:
     def closure_permutation(self) -> Permutation:
         return self.closure
 
-    def evaluate_raw(self, t: float) -> np.ndarray:
-        """Unordered eigenvalues at an arbitrary loop parameter."""
-        if self._evaluator is None:
-            self._evaluator = _raw_scalar_factory(self.model, self.radius)
-        return self._evaluator(t)
+    def evaluate_raw(self, t) -> np.ndarray:
+        """Unordered eigenvalues at loop parameters ``t`` (a number or an array), shape (..., N)."""
+        return _eig_grid(self.model, t, self.radius)
 
 
 @dataclass

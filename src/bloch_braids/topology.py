@@ -8,12 +8,16 @@ carries an integer invariant: the total winding of det(H(k) - E_ref) around
 zero as k sweeps the zone, summed over the EP reference energies between the
 phase and the trivial (small gain-loss) regime.
 
-The discriminant Disc_E det(E - H(z)) is a Laurent polynomial in z, and its
-winding over the zone (zeros inside |z| < 1 minus the pole order at z = 0)
-equals the exponent sum of the braid word. A braid label can change only
-where one of its zeros crosses |z| = 1, so the gain-loss phase boundaries
-that fix the reference energies are found from that count and polished by
-Newton onto the exceptional point itself, without tracking any band.
+The discriminant Disc_E det(E - H(z)) is a Laurent polynomial in z. Its
+coefficients are read off by one discrete Fourier transform of the kernel's
+discriminant at roots of unity, and every exceptional point comes from its
+zeros: those on |z| = 1 are the momentum-space EPs, all of them are the
+z-plane branch points. Its winding over the zone (zeros inside |z| < 1
+minus the pole order at z = 0) equals the exponent sum of the braid word.
+A braid label can change only where one of its zeros crosses |z| = 1, so
+the gain-loss phase boundaries that fix the reference energies are found
+from that count and polished by Newton onto the exceptional point itself,
+without tracking any band.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ from .braid import (Permutation, _ranks, cyclic_canonical, exponent_sum,
 from .errors import DegenerateModel, NonConvergent, UnsupportedDegree
 from .models import (DimerParams, ModelSpec, _char_coeffs, _disc, _entries, bloch_matrix,
                      bloch_matrix_z)
-from .spectrum import (_det_grid, _eig_grid, _pair_gaps, _raw_scalar_factory,
-                       _roots_scalar, _wind, eigenvalues, track_bands)
+from .spectrum import _det_grid, _eig_grid, _pair_gaps, _roots, _wind, eigenvalues, track_bands
 
 __all__ = [
     "discriminant",
@@ -142,7 +145,7 @@ def _normalized_disc(spec: ModelSpec, k: float) -> float:
     """|discriminant| scaled by the eigenvalue magnitude, dimensionless."""
     e = _entries(spec, cmath.exp(1j * k))
     n = len(e)
-    scale = (1.0 + max(abs(r) for r in _roots_scalar(e))) ** (n * (n - 1))
+    scale = (1.0 + float(np.abs(_roots(e)).max())) ** (n * (n - 1))
     return abs(_disc(_char_coeffs(e))) / scale
 
 
@@ -171,38 +174,31 @@ def _coalescing_pair(ev) -> tuple[complex, tuple[int, int]]:
     return 0.5 * (ev[i] + ev[j]), (i + 1, j + 1)
 
 
-def find_eps_k(spec: ModelSpec, grid_samples: int = 4096,
-               accept_tol: float = 1e-10) -> list[ExceptionalPoint]:
+def find_eps_k(spec: ModelSpec, accept_tol: float = 1e-10) -> list[ExceptionalPoint]:
     """Locate momentum-space exceptional points of a 2- or 3-band model.
 
-    Scans |discriminant| of the characteristic polynomial over k in
-    [0, 2pi), refines every local minimum by golden section, and keeps the
-    candidates whose normalized |discriminant| falls below ``accept_tol``.
-    Duplicates closer than dk = 1e-6 are merged. An empty list means no EP
-    at these parameters.
+    Every zero z of the Laurent discriminant (:func:`_disc_zeros`) whose
+    momentum k = arg z, in [0, 2pi), has a normalized |discriminant| below
+    ``accept_tol`` is an EP. Zeros closer than dk = 1e-6 are merged (a
+    double zero splits under rounding, and a zero off the circle can share
+    the argument of one on it); the zero nearest |z| = 1 gives the k. An
+    empty list means no EP at these parameters; :class:`DegenerateModel`
+    means every k is degenerate.
     """
     if spec.n_bands not in (2, 3):
         raise ValueError("exceptional-point search supports 2- and 3-band models")
-    ks = np.linspace(0.0, _TWO_PI, grid_samples, endpoint=False)
-    mags = np.abs(_disc(_char_coeffs(_entries(spec, np.exp(1j * ks)))))
-    left = np.roll(mags, 1)
-    right = np.roll(mags, -1)
-    candidates = np.nonzero((mags <= left) & (mags < right))[0]
-
-    step = _TWO_PI / grid_samples
     found: list[ExceptionalPoint] = []
-    for idx in candidates:
-        a = ks[idx] - step
-        b = ks[idx] + step
-        k_star = _golden_min(lambda k: _normalized_disc(spec, k), a, b)
-        if _normalized_disc(spec, k_star) >= accept_tol:
+    for z in sorted(_disc_zeros(spec)[1].tolist(), key=lambda z: abs(abs(z) - 1.0)):
+        k = cmath.phase(z) % _TWO_PI
+        # a zero on the positive real axis can come out at an angle of
+        # -1e-16, which the modulus maps to (or just below) 2pi
+        k = 0.0 if _TWO_PI - k < 1e-12 else k
+        if _normalized_disc(spec, k) >= accept_tol:
             continue
-        k_star = k_star % _TWO_PI
-        if any(abs(k_star - ep.k) < 1e-6 or abs(abs(k_star - ep.k) - _TWO_PI) < 1e-6
-               for ep in found):
+        if any(abs(k - ep.k) < 1e-6 or abs(abs(k - ep.k) - _TWO_PI) < 1e-6 for ep in found):
             continue
-        energy, pair = _coalescing_pair(eigenvalues(bloch_matrix(spec, k_star)))
-        found.append(ExceptionalPoint(complex(k_star), "k", complex(energy), pair, spec))
+        energy, pair = _coalescing_pair(eigenvalues(bloch_matrix(spec, k)))
+        found.append(ExceptionalPoint(complex(k), "k", complex(energy), pair, spec))
     found.sort(key=lambda ep: ep.k)
     return found
 
@@ -219,10 +215,9 @@ def most_degenerate_point(spec: ModelSpec, grid_samples: int = 2048) -> Exceptio
     ks = np.linspace(0.0, _TWO_PI, grid_samples, endpoint=False)
     idx = int(np.argmin(_pair_gaps(_eig_grid(spec, ks))))
     step = _TWO_PI / grid_samples
-    raw_at = _raw_scalar_factory(spec, None)
 
     def gap_at(k: float) -> float:
-        return float(_pair_gaps(raw_at(k)))
+        return float(_pair_gaps(_eig_grid(spec, k)))
 
     k_star = _golden_min(gap_at, ks[idx] - step, ks[idx] + step) % _TWO_PI
     energy, pair = _coalescing_pair(eigenvalues(bloch_matrix(spec, k_star)))
@@ -231,89 +226,34 @@ def most_degenerate_point(spec: ModelSpec, grid_samples: int = 2048) -> Exceptio
 
 # -- z-plane discriminant zeros --------------------------------------------
 
-class _Laurent:
-    """Minimal Laurent-polynomial arithmetic on numpy coefficient arrays."""
+def _disc_zeros(spec: ModelSpec) -> tuple[int, np.ndarray]:
+    """(lowest exponent, roots) of Disc_E det(E - H(z)) of a 2- or 3-band model.
 
-    __slots__ = ("lo", "c")
-    __array_ufunc__ = None      # numpy scalars defer to the reflected operators
-
-    def __init__(self, lo: int, coeffs):
-        self.lo = lo
-        self.c = np.asarray(coeffs, dtype=complex)
-
-    @staticmethod
-    def const(x) -> "_Laurent":
-        return _Laurent(0, [x])
-
-    def __add__(self, other):
-        if not isinstance(other, _Laurent):
-            other = _Laurent.const(other)
-        lo = min(self.lo, other.lo)
-        hi = max(self.lo + len(self.c), other.lo + len(other.c))
-        c = np.zeros(hi - lo, complex)
-        c[self.lo - lo:self.lo - lo + len(self.c)] += self.c
-        c[other.lo - lo:other.lo - lo + len(other.c)] += other.c
-        return _Laurent(lo, c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Laurent(self.lo, -self.c)
-
-    def __sub__(self, other):
-        if not isinstance(other, _Laurent):
-            other = _Laurent.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, _Laurent):
-            other = _Laurent.const(other)
-        return _Laurent(self.lo + other.lo, np.convolve(self.c, other.c))
-
-    __rmul__ = __mul__
-
-    def __rtruediv__(self, other):
-        if len(self.c) != 1:
-            raise ValueError("only a Laurent monomial can be inverted")
-        return _Laurent(-self.lo, [other / self.c[0]])
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return (1.0 / self) ** -n
-        out = _Laurent.const(1.0)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def zeros(self) -> tuple[int, np.ndarray]:
-        """(lowest exponent, roots) with self = c * z^lowest * prod(z - root).
-
-        A coefficient below 1e-13 of the largest is taken as zero; each one
-        cut at the low end raises the lowest exponent by one, so no root is
-        zero.
-        """
-        mag = np.abs(self.c).max()
-        keep = np.nonzero(np.abs(self.c) > mag * 1e-13)[0]
-        c = self.c[keep[0]:keep[-1] + 1]
-        rts = np.roots(c[::-1]) if len(c) > 1 else np.array([], dtype=complex)
-        return self.lo + int(keep[0]), rts
-
-    def roots(self) -> np.ndarray:
-        """Nonzero roots (the pole prefactor z^lo is dropped)."""
-        rts = self.zeros()[1]
-        return rts[np.abs(rts) > 1e-12]
-
-
-def _disc_z(spec: ModelSpec) -> _Laurent:
-    """Disc_E det(E - H(z)) of a 2- or 3-band model as a Laurent polynomial in z."""
-    return _disc(_char_coeffs(_entries(spec, _Laurent(1, [1.0]))))
+    Disc = c * z^lowest * prod(z - root). Disc has degree N(N-1) in the
+    entries of H(z), so its exponents lie within +/-S, S = N(N-1) max|n|
+    over the model's Fourier exponents n; the kernel's discriminant at the
+    2S + 1 roots of unity gives its coefficients by one discrete Fourier
+    transform. A coefficient below 1e-13 of the largest is taken as zero;
+    each one cut at the low end raises the lowest exponent by one, so no
+    root is zero. Raises :class:`DegenerateModel` when Disc vanishes
+    identically (every point of the plane is degenerate).
+    """
+    n = spec.n_bands
+    s = n * (n - 1) * max(abs(t.n) for t in spec.fourier_terms())
+    z = np.exp(1j * _TWO_PI / (2 * s + 1) * np.arange(2 * s + 1))
+    # entry p (mod 2S + 1) of the DFT is (2S + 1) times the coefficient of z^p
+    coeffs = np.roll(np.fft.fft(_disc(_char_coeffs(_entries(spec, z)))), s)
+    mag = np.abs(coeffs).max()
+    if mag == 0.0:
+        raise DegenerateModel("the discriminant vanishes identically: two bands coincide "
+                              "at every point")
+    keep = np.flatnonzero(np.abs(coeffs) > mag * 1e-13)
+    c = coeffs[keep[0]:keep[-1] + 1]
+    return int(keep[0]) - s, np.roots(c[::-1]) if len(c) > 1 else np.array([], dtype=complex)
 
 
 def _disc_count(spec: ModelSpec) -> int:
-    """Winding of the discriminant of det(E - H(e^{ik})) over the zone, with no sampling.
+    """Winding of the discriminant of det(E - H(e^{ik})) over the zone, from its zeros.
 
     By the argument principle it is the number of zeros of the Laurent
     discriminant inside |z| < 1 plus its lowest exponent (minus the order
@@ -321,7 +261,7 @@ def _disc_count(spec: ModelSpec) -> int:
     can change only where a zero crosses |z| = 1: at an exceptional point
     on the zone.
     """
-    lo, rts = _disc_z(spec).zeros()
+    lo, rts = _disc_zeros(spec)
     return lo + int(np.count_nonzero(np.abs(rts) < 1.0))
 
 
@@ -329,15 +269,17 @@ def ep_zplane_numeric(spec: ModelSpec) -> list[ExceptionalPoint]:
     """Every discriminant zero of H(z) in the complex plane (2/3-band models).
 
     The discriminant of det(E - H(z)) is a Laurent polynomial in z; clearing
-    the pole turns the zero set into polynomial roots, found exactly. These
-    are the true branch points of the energy surfaces over the z-plane,
-    sorted by modulus (points inside |z| < 1 sit inside the zone circle).
+    the pole turns the zero set into polynomial roots (:func:`_disc_zeros`).
+    These are the true branch points of the energy surfaces over the
+    z-plane, sorted by modulus (points inside |z| < 1 sit inside the zone
+    circle). Raises :class:`DegenerateModel` when the discriminant vanishes
+    identically.
     """
-    n = spec.n_bands
-    if n not in (2, 3):
+    if spec.n_bands not in (2, 3):
         raise ValueError("z-plane search supports 2- and 3-band models")
     out = []
-    for z in _disc_z(spec).roots():
+    rts = _disc_zeros(spec)[1]
+    for z in rts[np.abs(rts) > 1e-12]:
         energy, pair = _coalescing_pair(eigenvalues(bloch_matrix_z(spec, complex(z))))
         out.append(ExceptionalPoint(complex(z), "z", energy, pair, spec))
     out.sort(key=lambda ep: abs(ep.location))
@@ -436,7 +378,7 @@ def _polish(spec: ModelSpec, g_lo: float, g_hi: float) -> tuple[float, float]:
     or converges outside the bracket.
     """
     g = 0.5 * (g_lo + g_hi)
-    rts = _disc_z(spec.replace_param("gamma", g)).zeros()[1]
+    rts = _disc_zeros(spec.replace_param("gamma", g))[1]
     k = float(np.angle(rts[np.argmin(np.abs(np.abs(rts) - 1.0))]))
 
     def disc(k: float, g: float) -> complex:

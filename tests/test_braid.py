@@ -23,7 +23,7 @@ class FakeTrajectory:
         self.scale = 1.0 + float(np.abs(self.bands).max())
 
     def evaluate_raw(self, t):
-        return np.array([f(t) for f in self._funcs])
+        return np.stack(np.broadcast_arrays(*(f(t) for f in self._funcs)), axis=-1)
 
 
 def w(text, n=3):

@@ -182,6 +182,37 @@ def test_cli_rejects_non_finite_options(args, dimer_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eref", ["1,2,3", "0.5,0.1,junk"])
+def test_cli_rejects_eref_with_extra_parts(eref, dimer_file, tmp_path, capsys):
+    # the parts after the second were dropped, and the run exited 0
+    out = tmp_path / "w.json"
+    assert main(["winding", "--model", dimer_file, "--eref", eref, "--out", str(out)]) == 1
+    assert "--eref takes RE or RE,IM" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["bands", "--model", "MODEL", "--samples", "64.5"], 1), (["bands"], 1), (["nope"], 1),
+    (["eps", "--help"], 0)], ids=["non-integer-samples", "missing-model", "unknown-command", "help"])
+def test_cli_usage_exit_codes(args, code, dimer_file, capsys):
+    # argparse exits 2 on a usage error, the status reserved for numerical failure
+    with pytest.raises(SystemExit) as exc:
+        main([dimer_file if a == "MODEL" else a for a in args])
+    assert exc.value.code == code
+    assert ("usage:" in capsys.readouterr().err) == (code == 1)
+
+
+def test_cli_eps_on_a_model_degenerate_everywhere_exits_2(tmp_path, capsys):
+    # it printed "eps: 0" and exited 0
+    model = tmp_path / "zero.json"
+    model.write_text(json.dumps({"kind": "dimer", "params": {
+        "alpha": 0.0, "beta": 0.0, "delta": 0.0, "gamma": 0.0, "m": 1}}))
+    out = tmp_path / "eps.json"
+    assert main(["eps", "--model", str(model), "--out", str(out)]) == 2
+    assert "numerical failure: DegenerateModel" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_dump_config_reruns_identically(dimer_file, tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     cfg = tmp_path / "cfg.json"

@@ -35,9 +35,12 @@ def test_span_tracer_attributes_resolve_and_are_called():
         topology.total_braid_index(ModelSpec.trimer(1.0, 0.8, 0.3, 0.2, 0.7))
         topology.phase_diagram(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0), ("beta", 1.4, 1.6, 2),
                                ("gamma", -1.0, 1.0, 3), samples=128, threads=1)
+        # the one-trajectory reader, which calls evaluate_raw with arrays
+        topology.extract_braid_word(topology.track_bands(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0)))
     finally:
         tracer.uninstall()
     names = {span[1] for span in tracer.spans}
     assert {"topology.winding_number", "topology.gamma_axis_references", "topology.classify",
-            "sweep.dimer_row_classify"} <= names
+            "sweep.dimer_row_classify", "braid.extract_braid_word"} <= names
     assert tracer.counts["topology.winding_samples"] == 1024
+    assert tracer.counts["braid.evaluations"] > 0

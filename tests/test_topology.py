@@ -132,6 +132,67 @@ def test_zplane_numeric_trimer_count_and_symmetry(fig3_trimer):
     np.testing.assert_allclose(za, zb, atol=1e-6)
 
 
+def _random_generic(rng, n):
+    exponents = rng.choice(np.arange(-2, 3), size=int(rng.integers(2, 4)), replace=False)
+    return ModelSpec.generic([(int(e), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                              for e in exponents])
+
+
+def _fourier_disc(spec, ks):
+    """Disc on the zone from the Fourier sum and LAPACK: prod over pairs of (Ei - Ej)^2."""
+    h = sum(t.matrix * np.exp(1j * t.n * ks)[:, None, None] for t in spec.fourier_terms())
+    ev = np.linalg.eigvals(h)
+    n = ev.shape[-1]
+    return np.prod([(ev[:, i] - ev[:, j]) ** 2 for i in range(n) for j in range(i + 1, n)], axis=0)
+
+
+def test_disc_zeros_are_zeros_and_count_the_zone_winding():
+    # each zero is checked by Faddeev-LeVerrier coefficients and the monic
+    # discriminant formula, against the rounding of the 2S + 1 samples the
+    # zeros come from: max over the zone of |Disc| times sum_{|p| <= S} |z|^p;
+    # the zeros inside |z| < 1 plus the lowest exponent count the winding of
+    # Disc over the zone, sampled by a route that shares nothing with the kernel
+    from bloch_braids.topology import _disc_zeros
+    rng = np.random.default_rng(11)
+    draws = (lambda: ModelSpec.dimer(rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0),
+                                     rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0),
+                                     int(rng.integers(1, 4))),
+             lambda: ModelSpec.trimer(rng.uniform(0.2, 2.0), rng.uniform(-2.0, 2.0),
+                                      rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0),
+                                      rng.uniform(-1.0, 1.0), int(rng.integers(1, 3))),
+             lambda: _random_generic(rng, 2),
+             lambda: _random_generic(rng, 3))
+    ks = np.linspace(0.0, 2 * np.pi, 1025)
+    wound = 0
+    for trial in range(160):
+        spec = draws[trial % 4]()
+        n = spec.n_bands
+        s = n * (n - 1) * max(abs(t.n) for t in spec.fourier_terms())
+        lo, zeros = _disc_zeros(spec)
+        disc = _fourier_disc(spec, ks)
+        for z in zeros.tolist():
+            value = discriminant(characteristic_coefficients(bloch_matrix_z(spec, z)))
+            bound = np.abs(disc).max() * sum(abs(z) ** p for p in range(-s, s + 1))
+            assert abs(value) < 1e-12 * bound, (spec, z)
+        steps = (np.diff(np.angle(disc)) + np.pi) % (2 * np.pi) - np.pi
+        if np.abs(steps).max() < np.pi / 4:     # else a zero sits too near the circle to sample
+            assert lo + np.count_nonzero(np.abs(zeros) < 1.0) == round(steps.sum() / (2 * np.pi))
+            wound += 1
+    assert wound > 150
+
+
+@pytest.mark.parametrize("spec", [ModelSpec.dimer(0.0, 0.0, 0.0, 0.0),
+                                  ModelSpec.trimer(0.0, 0.0, 0.0, 0.0, 0.0),
+                                  ModelSpec.trimer(0.0, 0.0, 0.0, 0.0, 0.7)],
+                         ids=["dimer-zero", "trimer-zero", "trimer-diagonal"])
+def test_identically_vanishing_discriminant_is_a_degenerate_model(spec):
+    # every k is an exceptional point: neither "no EP" nor an IndexError
+    from bloch_braids.topology import _disc_count
+    for search in (find_eps_k, ep_zplane_numeric, _disc_count):
+        with pytest.raises(DegenerateModel):
+            search(spec)
+
+
 # -- momentum-space search ------------------------------------------------------------
 
 def test_find_eps_on_line(fig1_dimer):
@@ -150,6 +211,27 @@ def test_find_eps_outer_line(fig1_dimer):
     eps = find_eps_k(fig1_dimer(2.5))
     ks = sorted(ep.k if ep.k < np.pi else ep.k - 2 * np.pi for ep in eps)
     assert any(abs(k) < 1e-6 for k in ks)
+
+
+def test_find_eps_k_on_exceptional_lines_reads_k_in_the_zone():
+    # dimers exactly on an exceptional line, drawn as the benchmark's zone
+    # scan draws them, have m EPs at m k = 0 (outer line) or pi (inner line)
+    # mod 2pi; a zero on the positive real axis can come out at an angle of
+    # -1e-16, and its k must read 0.0, not 2pi
+    rng = np.random.default_rng(2024)
+    for trial in range(240):
+        beta = rng.uniform(0.3, 2.5)
+        while abs(beta - 1.0) < 0.2:
+            beta = rng.uniform(0.3, 2.5)
+        outer = trial % 2 == 0
+        gamma = rng.choice([-1.0, 1.0]) * (beta + 1.0 if outer else beta - 1.0)
+        m = int(rng.integers(1, 4))
+        found = [ep.k for ep in find_eps_k(ModelSpec.dimer(1.0, beta, 0.3, gamma, m))]
+        expected = sorted((((0.0 if outer else np.pi) + 2 * np.pi * j) / m) % (2 * np.pi)
+                          for j in range(m))
+        assert len(found) == m, (beta, gamma, m, found)
+        assert all(0.0 <= k < 2 * np.pi for k in found), found
+        assert np.abs(np.array(found) - expected).max() < 1e-9, (found, expected)
 
 
 def test_find_eps_trimer_boundary(fig3_trimer):
@@ -355,7 +437,7 @@ def test_disc_count_equals_exponent_sum_on_configs():
     # a second route to the braid invariant: the winding of the discriminant,
     # counted from its zeros with no sampling
     from bloch_braids import exponent_sum, extract_braid_word, track_bands
-    from bloch_braids.topology import _disc_count, _disc_z
+    from bloch_braids.topology import _disc_count, _disc_zeros
     models = _config_models({"bands", "braid", "riemann"})
     assert len(models) == 18
     for name, (spec, options) in models.items():
@@ -363,7 +445,7 @@ def test_disc_count_equals_exponent_sum_on_configs():
         assert _disc_count(spec) == exponent_sum(word), name
     for name, (spec, _) in _config_models({"eps"}).items():
         # fig1c2 and fig1c4 sit on an exceptional line: a zero is on the zone circle
-        zeros = _disc_z(spec).zeros()[1]
+        zeros = _disc_zeros(spec)[1]
         assert np.abs(np.abs(zeros) - 1.0).min() < 1e-12, name
 
 
