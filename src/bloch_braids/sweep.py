@@ -1,7 +1,10 @@
 """Phase-diagram rows: many cells through the one tracker and crossing reader.
 
 A row is a batch of cells of one family that differ in their parameter
-values. It is tracked by the batched tracker behind
+values. :func:`bloch_braids.topology.phase_diagram` sends here every trimer
+cell and the dimer cells whose discriminant winding does not settle their
+label on the tracker's first grid; the rest of a dimer row never reaches
+this module. A row is tracked by the batched tracker behind
 :func:`bloch_braids.spectrum.track_bands` and read by the batched crossing
 reader behind :func:`bloch_braids.braid.extract_braid_word`, with the model
 kernel evaluated on (cells, samples) parameter arrays, so each cell meets

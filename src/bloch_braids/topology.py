@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import logging
 import math
 import os
 import warnings
@@ -35,7 +36,7 @@ import numpy as np
 from . import sweep
 # track_bands and extract_braid_word are looked up here by name by the
 # perfbench span tracer, although no function of this module calls them
-from .braid import (Permutation, _ranks, cyclic_canonical, exponent_sum,
+from .braid import (BraidWord, Permutation, _ranks, cyclic_canonical, exponent_sum,
                     extract_braid_word, word_to_text)
 from .errors import DegenerateModel, NonConvergent, UnsupportedDegree
 from .models import (DimerParams, ModelSpec, _char_coeffs, _disc, _entries, bloch_matrix,
@@ -66,6 +67,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 DEGENERATE = "DEGENERATE"
+_LOG = logging.getLogger("bloch_braids")
 
 # -- discriminants ---------------------------------------------------------
 
@@ -252,6 +254,45 @@ def _disc_zeros(spec: ModelSpec) -> tuple[int, np.ndarray]:
     return int(keep[0]) - s, np.roots(c[::-1]) if len(c) > 1 else np.array([], dtype=complex)
 
 
+_NEWTON_STEPS = 20
+_NEWTON_DIFF = 1e-7
+
+
+def _newton_zeros(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
+    """Zeros of the Laurent discriminant polished by Newton on the kernel's discriminant.
+
+    The DFT fixes each coefficient only to about 1e-16 of the largest, so a
+    zero far from |z| = 1, which small extreme coefficients place, is
+    inaccurate; Newton on Disc evaluated by the kernel at z itself does not
+    depend on them. Derivatives are central differences of relative width
+    1e-7. No zero moves farther than a quarter of the distance to its
+    nearest neighbour, so none is carried onto another. A zero within 1e-6
+    |z| of another is a multiple zero split by rounding, where Newton is
+    ill-posed; every other zero must settle to a last step below 1e-10 |z|,
+    or :class:`NonConvergent` is raised (its coefficients are below the
+    resolution of the DFT).
+    """
+    def disc(z):
+        return _disc(_char_coeffs(_entries(spec, z)))
+
+    start, size = z, np.abs(z)
+    apart = (np.abs(z[:, None] - z[None, :]) + np.diag(np.full(len(z), np.inf))).min(
+        axis=1, initial=np.inf)
+    reach = 0.25 * np.minimum(apart, size)
+    for _ in range(_NEWTON_STEPS):
+        h = _NEWTON_DIFF * z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = 2.0 * h * disc(z) / (disc(z + h) - disc(z - h))
+        z = np.where(np.abs(z - step - start) < reach, z - step, z)
+    unsettled = ~(np.abs(step) <= 1e-10 * size) & (apart > 1e-6 * size)
+    if unsettled.any():
+        i = int(np.flatnonzero(unsettled)[0])
+        raise NonConvergent(f"the discriminant zero near z = {complex(start[i]):.6g} does not "
+                            f"settle under Newton (last step {abs(step[i]) / size[i]:.1e} of "
+                            f"|z|): its Laurent coefficients are below the DFT's resolution")
+    return z
+
+
 def _disc_count(spec: ModelSpec) -> int:
     """Winding of the discriminant of det(E - H(e^{ik})) over the zone, from its zeros.
 
@@ -269,17 +310,19 @@ def ep_zplane_numeric(spec: ModelSpec) -> list[ExceptionalPoint]:
     """Every discriminant zero of H(z) in the complex plane (2/3-band models).
 
     The discriminant of det(E - H(z)) is a Laurent polynomial in z; clearing
-    the pole turns the zero set into polynomial roots (:func:`_disc_zeros`).
-    These are the true branch points of the energy surfaces over the
-    z-plane, sorted by modulus (points inside |z| < 1 sit inside the zone
-    circle). Raises :class:`DegenerateModel` when the discriminant vanishes
-    identically.
+    the pole turns the zero set into polynomial roots (:func:`_disc_zeros`),
+    each polished by Newton on the kernel's discriminant
+    (:func:`_newton_zeros`). These are the true branch points of the energy
+    surfaces over the z-plane, sorted by modulus (points inside |z| < 1 sit
+    inside the zone circle). Raises :class:`DegenerateModel` when the
+    discriminant vanishes identically and :class:`NonConvergent` when a
+    simple zero does not settle.
     """
     if spec.n_bands not in (2, 3):
         raise ValueError("z-plane search supports 2- and 3-band models")
     out = []
     rts = _disc_zeros(spec)[1]
-    for z in rts[np.abs(rts) > 1e-12]:
+    for z in _newton_zeros(spec, rts[np.abs(rts) > 1e-12]):
         energy, pair = _coalescing_pair(eigenvalues(bloch_matrix_z(spec, complex(z))))
         out.append(ExceptionalPoint(complex(z), "z", energy, pair, spec))
     out.sort(key=lambda ep: abs(ep.location))
@@ -322,21 +365,86 @@ def winding_number(spec: ModelSpec, reference_energy: complex,
 
 # -- reference energies and the total braid index ----------------------------
 
-def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int) -> list:
+_WINDING_BATCH_SAMPLES = 1 << 16
+
+
+def _dimer_windings(spec: ModelSpec, name: str, values: np.ndarray, k0: float,
+                    samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(nu, fast)`` for a dimer row that sets parameter ``name`` to ``values``.
+
+    ``nu`` is the winding of D = ((e11 - e22)/2)^2 + e12 e21 = (E1 - E2)^2/4
+    over the tracker's first grid, k0 + linspace(0, 2pi, samples + 1).
+    ``fast`` marks the cells where that grid guarantees what the tracker and
+    reader would find there: every phase step of D is below pi/4 and the
+    total is an integer to 1e-6; the largest step of a band, bounded by
+    max|d mean| + max|dD| / (2 cos(pi/8) sqrt(min|D|)), stays below 0.45
+    sqrt(min|D|), half the smallest gap; that half gap exceeds 1e-6 of the
+    spectral scale; and the real parts at k0 differ by more than 1e-6 of it.
+    """
+    t = k0 + np.linspace(0.0, _TWO_PI, samples + 1)
+    (e11, e12), (e21, e22) = _entries(spec, np.exp(1j * t), {name: values[:, None]})
+    shape = (len(values), samples + 1)
+    mean = np.broadcast_to(0.5 * (e11 + e22), shape)
+    disc = np.broadcast_to((0.5 * (e11 - e22)) ** 2 + e12 * e21, shape)
+    del e11, e12, e21, e22
+    steps = np.angle(disc[:, 1:] * disc[:, :-1].conj())
+    raw = steps.sum(axis=1) / _TWO_PI
+    nu = np.rint(raw)
+    mag = np.abs(disc)
+    half_gap = np.sqrt(mag.min(axis=1))
+    scale = 1.0 + np.abs(mean).max(axis=1) + np.sqrt(mag.max(axis=1))   # >= 1 + max|E|
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jump = (np.abs(np.diff(mean, axis=1)).max(axis=1)
+                + np.abs(np.diff(disc, axis=1)).max(axis=1)
+                / (2.0 * math.cos(math.pi / 8.0) * half_gap))
+    fast = ((np.abs(steps).max(axis=1) < np.pi / 4.0) & (np.abs(raw - nu) < 1e-6)
+            & (jump < 0.45 * half_gap) & (half_gap > 1e-6 * scale)
+            & (np.abs(np.sqrt(disc[:, 0]).real) > 1e-6 * scale))
+    return nu.astype(int), fast
+
+
+def _b2_label(nu: int) -> tuple[str, int, Permutation]:
+    """The label of a two-band cell of winding ``nu``: t1^nu, nu, and its closure."""
+    word = BraidWord(((1, 1 if nu > 0 else -1),) * abs(nu), 2)
+    return word_to_text(cyclic_canonical(word)), nu, Permutation((1, 0) if nu % 2 else (0, 1))
+
+
+def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int) -> tuple[list, int]:
     """Label each cell of a row that sets parameter ``name`` of ``spec`` to ``values``.
 
-    The row is tracked and read in one call of the family's row classifier.
-    A label is (canonical word text, exponent sum, closure permutation); a
-    cell that fails (on an exceptional point, at the refinement cap, at a
-    degenerate or unresolved crossing) gets the exception it failed with.
+    Returns the labels and the number of cells the tracker labelled. A label
+    is (canonical word text, exponent sum, closure permutation); a cell that
+    fails (on an exceptional point, at the refinement cap, at a degenerate
+    or unresolved crossing) gets the exception it failed with. The braid
+    group of two bands is Abelian, so a dimer cell whose discriminant
+    winding nu is well conditioned on the tracker's first grid
+    (:func:`_dimer_windings`) is labelled from nu alone. Every other cell
+    is tracked and read, in one call of the family's row classifier.
     """
-    row_classify = {"dimer": sweep.dimer_row_classify,
-                    "trimer": sweep.trimer_row_classify}[spec.kind]
-    fields = {f: getattr(spec.params, f) for f in spec.params.__dataclass_fields__}
-    fields[name] = np.asarray(values, dtype=float)
-    return [res if isinstance(res, Exception)
-            else (word_to_text(cyclic_canonical(res[0])), exponent_sum(res[0]), res[1])
-            for res in row_classify(**fields, k0=k0, samples=samples)]
+    if samples < 64:    # the tracker's floor, also where no cell reaches it
+        raise ValueError(f"need at least 64 samples, got {samples}")
+    values = np.asarray(values, dtype=float)
+    labels: list = [None] * len(values)
+    rest = np.arange(len(values))
+    if spec.kind == "dimer":
+        batch = max(1, _WINDING_BATCH_SAMPLES // (samples + 1))   # cache-sized batches
+        nu, fast = (np.concatenate(parts) for parts in zip(*(
+            _dimer_windings(spec, name, values[s:s + batch], k0, samples)
+            for s in range(0, len(values), batch))))
+        by_nu = {v: _b2_label(v) for v in set(nu[fast].tolist())}
+        for i, v in zip(np.flatnonzero(fast).tolist(), nu[fast].tolist()):
+            labels[i] = by_nu[v]
+        rest = np.flatnonzero(~fast)
+    if len(rest):
+        row_classify = {"dimer": sweep.dimer_row_classify,
+                        "trimer": sweep.trimer_row_classify}[spec.kind]
+        fields = {f: getattr(spec.params, f) for f in spec.params.__dataclass_fields__}
+        fields[name] = values[rest]
+        for i, res in zip(rest.tolist(), row_classify(**fields, k0=k0, samples=samples)):
+            labels[i] = (res if isinstance(res, Exception) else
+                         (word_to_text(cyclic_canonical(res[0])), exponent_sum(res[0]), res[1]))
+    _LOG.debug("%s row over %s: %d cells, %d tracked", spec.kind, name, len(values), len(rest))
+    return labels, len(rest)
 
 
 def _brackets(key, lo: float, key_lo, hi: float, key_hi, resolution: float) -> list:
@@ -362,10 +470,6 @@ def _brackets(key, lo: float, key_lo, hi: float, key_hi, resolution: float) -> l
         if key_mid != key_b:
             work.append((mid, key_mid, b, key_b))
     return out
-
-
-_NEWTON_STEPS = 20
-_NEWTON_DIFF = 1e-7
 
 
 def _polish(spec: ModelSpec, g_lo: float, g_hi: float) -> tuple[float, float]:
@@ -437,12 +541,12 @@ def gamma_axis_references(spec: ModelSpec, *, k0: float = np.pi / 4,
         return _disc_count(spec.replace_param("gamma", g))
 
     def label(g: float):
-        lab = _classify(spec, "gamma", [g], k0, samples)[0]
+        lab = _classify(spec, "gamma", [g], k0, samples)[0][0]
         return None if isinstance(lab, Exception) else lab
 
     gs = np.linspace(g_target * 1e-3, g_target, coarse_steps + 1).tolist()
     counts = [count(g) for g in gs]
-    labels = _classify(spec, "gamma", gs, k0, samples)
+    labels = _classify(spec, "gamma", gs, k0, samples)[0]
     brackets = []
     for i in range(coarse_steps):
         lo, hi = gs[i], gs[i + 1]
@@ -561,13 +665,17 @@ class PhaseCell:
 
 
 def _thread_count(requested: int | None = None) -> int:
+    source = "threads"
     if requested is None:
+        source = "BLOCH_BRAIDS_THREADS"
         raw = os.environ.get("BLOCH_BRAIDS_THREADS", "0").strip() or "0"
         try:
             requested = int(raw)
         except ValueError:
             raise ValueError(f"BLOCH_BRAIDS_THREADS must be an integer, got {raw!r}") from None
-    if requested <= 0:
+    if requested < 0:
+        raise ValueError(f"{source} must be 0 (automatic) or a worker count, got {requested}")
+    if requested == 0:
         return max(1, min(8, os.cpu_count() or 1))
     return requested
 
@@ -586,6 +694,7 @@ class PhaseDiagram:
     cells: list[list[PhaseCell]]
     k0: float
     samples: int
+    tracked_cells: int = 0      # cells labelled by the tracker, not by their winding
 
     def cell_at(self, value1: float, value2: float) -> PhaseCell:
         """The cell whose grid point lies nearest to (value1, value2)."""
@@ -646,10 +755,15 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
 
     ``axis1`` and ``axis2`` are :class:`AxisSpec` or (name, start, stop,
     resolution) tuples naming scalar parameters of the template model. Each
-    row of ``axis2`` cells is tracked and read as one batch, by the rules of
-    :func:`track_bands` and :func:`extract_braid_word`; a cell where they
-    fail is DEGENERATE. Rows run in a thread pool (BLOCH_BRAIDS_THREADS caps
-    the worker count, 0 means automatic).
+    row of ``axis2`` cells is labelled as one batch (:func:`_classify`): a
+    dimer cell whose discriminant winding is well conditioned on the
+    tracker's first grid from that winding alone, every other cell by the
+    rules of :func:`track_bands` and :func:`extract_braid_word`, tracked and
+    read as one batch; a cell where they fail is DEGENERATE.
+    ``tracked_cells`` of the result counts the tracked cells, and each row
+    logs one DEBUG record to the ``bloch_braids`` logger. Rows run in a
+    thread pool (``threads``, else BLOCH_BRAIDS_THREADS, caps the worker
+    count; 0 means automatic, a negative count raises ``ValueError``).
     """
     axis1 = axis1 if isinstance(axis1, AxisSpec) else AxisSpec(*axis1)
     axis2 = axis2 if isinstance(axis2, AxisSpec) else AxisSpec(*axis2)
@@ -667,17 +781,19 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     vals1 = axis1.values()
     vals2 = axis2.values()
 
-    def classify_row(i: int) -> list[PhaseCell]:
+    def classify_row(i: int) -> tuple[list[PhaseCell], int]:
         v1 = float(vals1[i])
-        labels = _classify(template.replace_param(axis1.name, v1), axis2.name, vals2, k0, samples)
+        labels, tracked = _classify(template.replace_param(axis1.name, v1), axis2.name, vals2,
+                                    k0, samples)
         return [PhaseCell(v1, v2, DEGENERATE, None, None) if isinstance(lab, Exception)
                 else PhaseCell(v1, v2, *lab)
-                for v2, lab in zip(vals2.tolist(), labels)]
+                for v2, lab in zip(vals2.tolist(), labels)], tracked
 
     workers = _thread_count(threads)
     if workers == 1:
-        cells = [classify_row(i) for i in range(len(vals1))]
+        rows = [classify_row(i) for i in range(len(vals1))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(classify_row, range(len(vals1))))
-    return PhaseDiagram(template, axis1, axis2, cells, k0, samples)
+            rows = list(pool.map(classify_row, range(len(vals1))))
+    return PhaseDiagram(template, axis1, axis2, [row for row, _ in rows], k0, samples,
+                        sum(tracked for _, tracked in rows))

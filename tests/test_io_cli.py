@@ -271,3 +271,20 @@ def test_cli_rejects_non_integer_thread_count(dimer_file, tmp_path, capsys, monk
     assert main(["from-config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "BLOCH_BRAIDS_THREADS" in err and "'two'" in err
+
+
+def test_cli_rejects_negative_thread_count(tmp_path, capsys, monkeypatch):
+    # only unset or 0 means automatic; a negative count ran on the automatic one
+    cfg = tmp_path / "pd.json"
+    cfg.write_text(json.dumps({"command": "phase-diagram", "model": DIMER,
+                               "options": {"axis1": "beta:1.4:1.6:3",
+                                           "axis2": "gamma:-1:1:5", "samples": 128},
+                               "out": str(tmp_path / "pd.csv")}))
+    monkeypatch.setenv("BLOCH_BRAIDS_THREADS", "-2")
+    assert main(["from-config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "BLOCH_BRAIDS_THREADS" in err and "-2" in err
+    assert not (tmp_path / "pd.csv").exists()
+    with pytest.raises(ValueError, match="threads"):
+        phase_diagram(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0), ("beta", 1.4, 1.6, 2),
+                      ("gamma", -1.0, 1.0, 3), threads=-1)

@@ -132,6 +132,35 @@ def test_zplane_numeric_trimer_count_and_symmetry(fig3_trimer):
     np.testing.assert_allclose(za, zb, atol=1e-6)
 
 
+def test_zplane_numeric_zeros_settle_under_newton():
+    # the DFT places a zero far from |z| = 1 only to ~1e-8 of its modulus;
+    # each reported zero is polished until one more Newton step on the
+    # kernel's discriminant moves it by at most 1e-12 of its modulus
+    from conftest import random_trimer
+    from bloch_braids.models import _char_coeffs, _disc, _entries
+    rng = np.random.default_rng(113)
+    settled = 0
+    for _ in range(40):
+        spec = random_trimer(rng)
+        try:
+            z = np.array([ep.location for ep in ep_zplane_numeric(spec)])
+        except NonConvergent:
+            continue
+        h = 1e-5 * z
+        disc = _disc(_char_coeffs(_entries(spec, z)))
+        slope = (_disc(_char_coeffs(_entries(spec, z + h)))
+                 - _disc(_char_coeffs(_entries(spec, z - h)))) / (2.0 * h)
+        assert np.abs(disc / slope).max() <= 1e-12 * np.abs(z).min(), spec
+        settled += 1
+    assert settled >= 36
+    # delta^4 sits below the DFT's trim here and the zeros it places do not
+    # settle: they are reported as a failure, not as branch points
+    with pytest.raises(NonConvergent, match="does not settle"):
+        ep_zplane_numeric(ModelSpec.trimer(1.4016603528067977, -0.05057297482784762,
+                                           0.000659424129722419, 0.3898633640112692,
+                                           0.8697567922082392, 1))
+
+
 def _random_generic(rng, n):
     exponents = rng.choice(np.arange(-2, 3), size=int(rng.integers(2, 4)), replace=False)
     return ModelSpec.generic([(int(e), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
@@ -520,7 +549,8 @@ def test_classify_keeps_the_failure():
     # gamma = 0.5173 is within 3e-6 of a fig4a boundary: the tracker exhausts
     # its refinement there, and the label says so instead of reading None
     from bloch_braids.topology import _classify
-    labels = _classify(TRIMER_BRAIDS["fig4a"], "gamma", [0.5173, 0.5], PI4, 512)
+    labels, tracked = _classify(TRIMER_BRAIDS["fig4a"], "gamma", [0.5173, 0.5], PI4, 512)
+    assert tracked == 2
     assert isinstance(labels[0], RefinementExhausted)
     assert labels[1][:2] == ("t2", 1)
 
@@ -619,6 +649,31 @@ def test_phase_diagram_degenerate_marker(fig1_dimer):
     assert cell.degenerate and cell.word == "DEGENERATE"
 
 
+def test_phase_diagram_counts_and_logs_the_tracked_cells(fig1_dimer, fig3_trimer, caplog):
+    # one DEBUG record per row; a dimer row tracks only the cells its
+    # discriminant winding leaves, a trimer row tracks every cell
+    from bloch_braids import io
+    caplog.set_level("DEBUG", logger="bloch_braids")
+    pd = phase_diagram(fig1_dimer(0.0), ("beta", 1.4, 1.6, 3), ("gamma", 0.2, 0.8, 13),
+                       threads=1)
+    records = [r.getMessage() for r in caplog.records if r.name == "bloch_braids"]
+    assert len(records) == 3 and all("13 cells" in r for r in records)
+    assert sum(int(r.split(", ")[-1].split()[0]) for r in records) == pd.tracked_cells
+    assert 1 <= pd.tracked_cells < 39 and len(pd.degenerate_cells()) >= 1
+    assert "tracked" not in io.dumps_json(io.phase_diagram_to_json_dict(pd))
+    trimer = phase_diagram(fig3_trimer(1.2, 0.5), ("beta", 1.0, 1.2, 2), ("gamma", 0.2, 0.4, 3),
+                           threads=1)
+    assert trimer.tracked_cells == 6
+
+
+def test_phase_diagram_rejects_fewer_than_64_samples():
+    # every cell of this plane would take the fast path, which never calls
+    # the tracker that enforces the floor
+    with pytest.raises(ValueError, match="64 samples"):
+        phase_diagram(ModelSpec.dimer(1.0, 0.2, 0.05, 0.0), ("beta", 0.2, 0.25, 2),
+                      ("gamma", 0.0, 0.2, 3), samples=32, threads=1)
+
+
 def test_phase_diagram_boundary_segments(fig1_dimer):
     pd = phase_diagram(fig1_dimer(0.0), ("beta", 1.4, 1.6, 3), ("gamma", 0.2, 0.8, 13),
                        samples=512)
@@ -684,3 +739,34 @@ def test_row_engine_agrees_with_scalar_classifier(row, fig1_dimer, fig3_trimer):
     # the comparison above must not be vacuous
     assert counts["refined"] >= 1
     assert counts["failed"] >= (1 if kind == "dimer" else 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_dimer_fast_path_agrees_with_tracker(m):
+    # a fig1b slab over both exceptional lines, with cells on each line and
+    # 1e-9 beside it, and one row along beta: a cell labelled from its
+    # discriminant winding reads as the tracker reads it, and every cell the
+    # tracker fails on still fails with the tracker's exception
+    from bloch_braids.braid import cyclic_canonical, exponent_sum, word_to_text
+    from bloch_braids.sweep import dimer_row_classify
+    from bloch_braids.topology import _classify
+    rows = [("gamma", {"beta": beta}, np.append(np.linspace(-3.0, 3.0, 241), [
+        g + d for g in (beta - 1.0, 1.0 - beta, beta + 1.0, -beta - 1.0)
+        for d in (-1e-9, 0.0, 1e-9)])) for beta in (0.5, 1.5, 2.5)]
+    rows.append(("beta", {"gamma": 1.0}, np.append(np.linspace(0.0, 3.0, 121),
+                                                   [2.0 - 1e-9, 2.0, 2.0 + 1e-9])))
+    fast = tracked = failed = 0
+    for name, fixed, values in rows:
+        params = {"alpha": 1.0, "beta": 1.5, "delta": 0.3, "gamma": 1.0, "m": m, **fixed}
+        labels, n_tracked = _classify(ModelSpec.dimer(**params), name, values, PI4, 512)
+        fast, tracked = fast + len(values) - n_tracked, tracked + n_tracked
+        params[name] = values
+        for value, lab, res in zip(values, labels, dimer_row_classify(**params, k0=PI4)):
+            if isinstance(res, Exception):
+                failed += 1
+                assert type(lab) is type(res), (name, value)
+            else:
+                word = res[0]
+                assert lab == (word_to_text(cyclic_canonical(word)), exponent_sum(word),
+                               res[1]), (name, value)
+    assert fast >= 1 and tracked >= 1 and failed >= 1
