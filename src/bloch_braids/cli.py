@@ -10,23 +10,23 @@ Subcommands map one-to-one onto the analysis pipelines:
   riemann        track eigenvalue loops of H(z) on a circle |z| = r
   from-config    run a saved configuration file
 
-Models are JSON documents (see README for the schema). Every subcommand
-accepts ``--dump-config PATH`` to save a self-contained configuration that
-``from-config`` re-runs identically; output files are byte-deterministic
-for a given configuration. Exit status: 0 success, 1 invalid usage or
-configuration, 2 numerical failure (degenerate point, non-convergence).
-The environment variable BLOCH_BRAIDS_THREADS caps sweep parallelism
-(0 or unset = automatic).
+Models are JSON documents (see README for the schema). Each command's
+options and their defaults are declared once, in ``_OPTIONS``. Every
+subcommand accepts ``--dump-config PATH`` to save a self-contained
+configuration that ``from-config`` re-runs identically; output files are
+byte-deterministic for a given configuration. Exit status: 0 success, 1
+invalid usage or configuration (one ``error:`` line, nothing written), 2
+numerical failure (degenerate point, non-convergence). The environment
+variable BLOCH_BRAIDS_THREADS caps sweep parallelism (0 or unset = automatic).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import io as bio
 from .braid import cyclic_canonical, exponent_sum, extract_braid_word, word_to_text
@@ -36,7 +36,31 @@ from .spectrum import riemann_loop, track_bands
 from .topology import (dimer_ep_zplane, find_eps_k, phase_diagram, total_braid_index,
                        winding_number)
 
-_COMMANDS = ("bands", "braid", "eps", "winding", "phase-diagram", "riemann")
+# Each command's options and their defaults. The type of a default is the
+# option's type (a float option takes any JSON number, an int option only a
+# JSON integer); None marks a required axis, given as name:start:stop:resolution.
+_OPTIONS = {
+    "bands": {"k0": 0.0, "samples": 512},
+    "braid": {"k0": 0.0, "samples": 512},
+    "eps": {},
+    "winding": {"eref_real": 0.0, "eref_imag": 0.0, "samples": 1024},
+    "phase-diagram": {"axis1": None, "axis2": None, "k0": math.pi / 4, "samples": 512},
+    "riemann": {"r": 1.0, "theta0": 0.0, "samples": 512},
+}
+_CSV_COMMANDS = ("bands", "phase-diagram", "riemann")     # the ones with --format csv|json
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+# help texts of the subcommands, and as "command --flag" of the flags that have one
+_HELP = {
+    "bands": "track complex bands over one zone period",
+    "bands --k0": "base momentum", "bands --samples": "initial sample count",
+    "braid": "extract the braid word and index",
+    "eps": "locate momentum-space exceptional points",
+    "winding": "spectral winding number about a reference energy",
+    "winding --eref": "reference energy, e.g. '0' or '-0.7,0.0'",
+    "phase-diagram": "classify a 2-parameter plane",
+    "riemann": "eigenvalue loops of H(z) on a circle |z| = r",
+    "riemann --r": "circle radius",
+}
 
 
 @dataclass
@@ -55,50 +79,54 @@ class RunConfig:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         command = doc.get("command")
-        if command not in _COMMANDS:
-            raise ValueError(f"config command must be one of {_COMMANDS}, got {command!r}")
-        if "model" not in doc:
-            raise ValueError("config needs a 'model' document")
+        if command not in _OPTIONS:
+            raise ValueError(f"config command must be one of {tuple(_OPTIONS)}, got {command!r}")
+        model, options, out = doc.get("model"), doc.get("options", {}), doc.get("out")
+        if not isinstance(model, dict):
+            raise ValueError("config needs a 'model' document (a JSON object)")
+        if not isinstance(options, dict):
+            raise ValueError(f"config options must be a JSON object, got {options!r}")
+        if out is not None and not isinstance(out, str):
+            raise ValueError(f"config out must be a string or null, got {out!r}")
         fmt = doc.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {fmt!r}")
-        return RunConfig(command, doc["model"], dict(doc.get("options", {})),
-                         doc.get("out"), fmt)
+        return RunConfig(command, model, dict(options), out, fmt)
 
-    def validate(self) -> None:
-        ModelSpec.from_json_dict(self.model)
-        opt = self.options
-        known = {
-            "bands": {"k0", "samples"},
-            "braid": {"k0", "samples"},
-            "eps": set(),
-            "winding": {"eref_real", "eref_imag", "samples"},
-            "phase-diagram": {"axis1", "axis2", "k0", "samples"},
-            "riemann": {"r", "theta0", "samples"},
-        }[self.command]
-        extra = set(opt) - known
+    def validate(self) -> dict:
+        """Check the options against the command's table; return them with the
+        defaults filled in, floats as floats and axes parsed."""
+        table = _OPTIONS[self.command]
+        extra = set(self.options) - set(table)
         if extra:
             raise ValueError(f"unknown options for {self.command}: {sorted(extra)}")
-        if self.command == "phase-diagram":
-            for key in ("axis1", "axis2"):
-                if key not in opt:
-                    raise ValueError(f"phase-diagram needs --{key}")
-                _parse_axis(opt[key])
-        _require_finite(**{key: float(opt[key]) for key in
-                           ("k0", "theta0", "r", "eref_real", "eref_imag") if key in opt})
-        if self.command == "riemann" and float(opt.get("r", 1.0)) <= 0:
-            raise ValueError("riemann radius must be positive")
-        if "samples" in opt and int(opt["samples"]) < 64:
+        resolved = {}
+        for key, default in table.items():
+            if default is None and key not in self.options:
+                raise ValueError(f"{self.command} needs --{key}")
+            value = self.options.get(key, default)
+            kind = str if default is None else type(default)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise ValueError(f"option {key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+            resolved[key] = _parse_axis(value) if kind is str else kind(value)
+        _require_finite(**{key: v for key, v in resolved.items() if isinstance(v, float)})
+        if "samples" in resolved and resolved["samples"] < 64:
             raise ValueError("need at least 64 samples")
+        if "r" in resolved and resolved["r"] <= 0:
+            raise ValueError("riemann radius must be positive")
+        return resolved
 
 
 def _parse_axis(text: str) -> tuple[str, float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise ValueError(f"axis must be name:start:stop:resolution, got {text!r}")
-    name, start, stop, res = parts
-    return (name, float(start), float(stop), int(res))
+    try:
+        name, start, stop, res = text.split(":")
+        return (name, float(start), float(stop), int(res))
+    except ValueError:
+        raise ValueError(f"axis must be name:start:stop:resolution, got {text!r}") from None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -106,9 +134,8 @@ def _write(path: str | None, text: str) -> None:
         bio.write_text(path, text)
 
 
-def _run_bands(config: RunConfig, spec: ModelSpec) -> str:
-    opt = config.options
-    traj = track_bands(spec, float(opt.get("k0", 0.0)), int(opt.get("samples", 512)))
+def _run_bands(config: RunConfig, spec: ModelSpec, opt: dict) -> str:
+    traj = track_bands(spec, opt["k0"], opt["samples"])
     if config.format == "csv":
         _write(config.out, bio.trajectory_to_csv(traj))
     else:
@@ -116,12 +143,10 @@ def _run_bands(config: RunConfig, spec: ModelSpec) -> str:
     return f"closure: {traj.closure.cycle_str()}"
 
 
-def _run_braid(config: RunConfig, spec: ModelSpec) -> str:
-    opt = config.options
-    k0 = float(opt.get("k0", 0.0))
-    traj = track_bands(spec, k0, int(opt.get("samples", 512)))
+def _run_braid(config: RunConfig, spec: ModelSpec, opt: dict) -> str:
+    traj = track_bands(spec, opt["k0"], opt["samples"])
     word = extract_braid_word(traj)
-    index = total_braid_index(spec, k0=k0)
+    index = total_braid_index(spec, k0=opt["k0"])
     doc = {
         "word": word_to_text(word),
         "word_canonical": word_to_text(cyclic_canonical(word)),
@@ -135,28 +160,25 @@ def _run_braid(config: RunConfig, spec: ModelSpec) -> str:
     return f"word: {word_to_text(word)}, nu: {index.nu}"
 
 
-def _run_eps(config: RunConfig, spec: ModelSpec) -> str:
+def _run_eps(config: RunConfig, spec: ModelSpec, opt: dict) -> str:
     eps = find_eps_k(spec)
     _write(config.out, bio.dumps_json(bio.eps_to_json_dict(eps)))
     ks = ", ".join(f"{ep.k:.6f}" for ep in eps)
     return f"eps: {len(eps)}" + (f" at k = {ks}" if eps else "")
 
 
-def _run_winding(config: RunConfig, spec: ModelSpec) -> str:
-    opt = config.options
-    e_ref = complex(float(opt.get("eref_real", 0.0)), float(opt.get("eref_imag", 0.0)))
-    result = winding_number(spec, e_ref, int(opt.get("samples", 1024)))
+def _run_winding(config: RunConfig, spec: ModelSpec, opt: dict) -> str:
+    e_ref = complex(opt["eref_real"], opt["eref_imag"])
+    result = winding_number(spec, e_ref, opt["samples"])
     doc = {"nu": result.nu, "raw": result.raw, "residual": result.residual,
            "reference_energy": [e_ref.real, e_ref.imag], "samples": result.samples}
     _write(config.out, bio.dumps_json(doc))
     return f"nu: {result.nu} (residual {result.residual:.3e})"
 
 
-def _run_phase_diagram(config: RunConfig, spec: ModelSpec) -> str:
-    opt = config.options
-    diagram = phase_diagram(spec, _parse_axis(opt["axis1"]), _parse_axis(opt["axis2"]),
-                            k0=float(opt.get("k0", np.pi / 4)),
-                            samples=int(opt.get("samples", 512)))
+def _run_phase_diagram(config: RunConfig, spec: ModelSpec, opt: dict) -> str:
+    diagram = phase_diagram(spec, opt["axis1"], opt["axis2"], k0=opt["k0"],
+                            samples=opt["samples"])
     if config.format == "csv":
         _write(config.out, bio.phase_diagram_to_csv(diagram))
     else:
@@ -167,11 +189,8 @@ def _run_phase_diagram(config: RunConfig, spec: ModelSpec) -> str:
     return f"cells: {total}, degenerate: {n_deg}, phases: {len(words)}"
 
 
-def _run_riemann(config: RunConfig, spec: ModelSpec) -> str:
-    opt = config.options
-    r = float(opt.get("r", 1.0))
-    traj = riemann_loop(spec, r, int(opt.get("samples", 512)),
-                        float(opt.get("theta0", 0.0)))
+def _run_riemann(config: RunConfig, spec: ModelSpec, opt: dict) -> str:
+    traj = riemann_loop(spec, opt["r"], opt["samples"], opt["theta0"])
     zplane = []
     if spec.kind == "dimer" and spec.params.alpha * spec.params.beta != 0:
         zplane = dimer_ep_zplane(spec.params)
@@ -201,13 +220,13 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute one configuration; returns the process exit status."""
     try:
-        config.validate()
         spec = ModelSpec.from_json_dict(config.model)
+        opt = config.validate()
     except (ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        summary = _RUNNERS[config.command](config, spec)
+        summary = _RUNNERS[config.command](config, spec, opt)
     except NumericalFailure as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -240,39 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bloch-braids",
         description="Braiding of complex Bloch bands in 1D gain-loss lattices.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("bands", help="track complex bands over one zone period")
-    _add_common(p)
-    p.add_argument("--k0", type=float, default=0.0, help="base momentum")
-    p.add_argument("--samples", type=int, default=512, help="initial sample count")
-
-    p = subs.add_parser("braid", help="extract the braid word and index")
-    _add_common(p, with_format=False)
-    p.add_argument("--k0", type=float, default=0.0)
-    p.add_argument("--samples", type=int, default=512)
-
-    p = subs.add_parser("eps", help="locate momentum-space exceptional points")
-    _add_common(p, with_format=False)
-
-    p = subs.add_parser("winding", help="spectral winding number about a reference energy")
-    _add_common(p, with_format=False)
-    p.add_argument("--eref", default="0,0", metavar="RE[,IM]",
-                   help="reference energy, e.g. '0' or '-0.7,0.0'")
-    p.add_argument("--samples", type=int, default=1024)
-
-    p = subs.add_parser("phase-diagram", help="classify a 2-parameter plane")
-    _add_common(p)
-    p.add_argument("--axis1", required=True, metavar="NAME:START:STOP:RES")
-    p.add_argument("--axis2", required=True, metavar="NAME:START:STOP:RES")
-    p.add_argument("--k0", type=float, default=float(np.pi / 4))
-    p.add_argument("--samples", type=int, default=512)
-
-    p = subs.add_parser("riemann", help="eigenvalue loops of H(z) on a circle |z| = r")
-    _add_common(p)
-    p.add_argument("--r", type=float, default=1.0, help="circle radius")
-    p.add_argument("--theta0", type=float, default=0.0)
-    p.add_argument("--samples", type=int, default=512)
-
+    for command, options in _OPTIONS.items():
+        p = subs.add_parser(command, help=_HELP[command])
+        _add_common(p, with_format=command in _CSV_COMMANDS)
+        for key, default in options.items():
+            if key == "eref_real":      # --eref RE[,IM] fills eref_real and eref_imag
+                p.add_argument("--eref", metavar="RE[,IM]", help=_HELP["winding --eref"])
+            elif key != "eref_imag":
+                axis = default is None
+                p.add_argument(f"--{key}", type=str if axis else type(default),
+                               default=default, required=axis,
+                               metavar="NAME:START:STOP:RES" if axis else None,
+                               help=_HELP.get(f"{command} --{key}"))
     p = subs.add_parser("from-config", help="run a saved configuration file")
     p.add_argument("config", help="path to a config JSON written by --dump-config")
     return parser
@@ -281,42 +279,30 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     with open(args.model, encoding="utf-8") as fh:
         model_doc = json.load(fh)
-    options: dict = {}
-    if args.command in ("bands", "braid"):
-        options = {"k0": args.k0, "samples": args.samples}
-    elif args.command == "winding":
-        parts = str(args.eref).split(",")
-        if len(parts) > 2:
+    options = {key: getattr(args, key, default)
+               for key, default in _OPTIONS[args.command].items()}
+    if getattr(args, "eref", None) is not None:
+        real, *imag = args.eref.split(",")
+        if len(imag) > 1:
             raise ValueError(f"--eref takes RE or RE,IM, got {args.eref!r}")
-        options = {"eref_real": float(parts[0]),
-                   "eref_imag": float(parts[1]) if len(parts) > 1 else 0.0,
-                   "samples": args.samples}
-    elif args.command == "phase-diagram":
-        options = {"axis1": args.axis1, "axis2": args.axis2,
-                   "k0": args.k0, "samples": args.samples}
-    elif args.command == "riemann":
-        options = {"r": args.r, "theta0": args.theta0, "samples": args.samples}
-    fmt = getattr(args, "format", "json" if args.command in ("braid", "eps", "winding") else "csv")
-    return RunConfig(args.command, model_doc, options, args.out, fmt)
+        options["eref_real"] = float(real)
+        if imag:
+            options["eref_imag"] = float(imag[0])
+    return RunConfig(args.command, model_doc, options, args.out, getattr(args, "format", "json"))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "from-config":
-        try:
+    args = build_parser().parse_args(argv)
+    try:
+        if args.command == "from-config":
             with open(args.config, encoding="utf-8") as fh:
                 config = RunConfig.from_json_dict(json.load(fh))
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        return run(config)
-    try:
-        config = _config_from_args(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        else:
+            config = _config_from_args(args)
+    except (OSError, ValueError) as exc:     # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.dump_config:
+    if getattr(args, "dump_config", None):
         bio.write_text(args.dump_config, bio.dumps_json(config.to_json_dict()))
     return run(config)
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -81,8 +81,9 @@ class DimerParams:
     def __post_init__(self):
         _require_finite(alpha=self.alpha, beta=self.beta,
                         delta=self.delta, gamma=self.gamma)
-        if self.m < 1 or self.m != int(self.m):
+        if not (float(self.m).is_integer() and self.m >= 1):
             raise ValueError(f"neighbour order m must be a positive integer, got {self.m}")
+        object.__setattr__(self, "m", int(self.m))
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,9 @@ class TrimerParams:
     def __post_init__(self):
         _require_finite(alpha=self.alpha, beta=self.beta, delta=self.delta,
                         gamma=self.gamma, v=self.v)
-        if self.m < 1 or self.m != int(self.m):
+        if not (float(self.m).is_integer() and self.m >= 1):
             raise ValueError(f"neighbour order m must be a positive integer, got {self.m}")
+        object.__setattr__(self, "m", int(self.m))
 
 
 @dataclass(frozen=True)
@@ -239,10 +241,15 @@ class ModelSpec:
             params = doc["params"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"model document must have 'kind' and 'params': {exc}") from exc
+        if not isinstance(params, dict):
+            raise ValueError(f"model params must be a JSON object, got {params!r}")
         if kind in ("dimer", "trimer"):
-            names = ["alpha", "beta", "delta", "gamma"] + (["v"] if kind == "trimer" else [])
-            return getattr(ModelSpec, kind)(*(float(params[name]) for name in names),
-                                            int(params.get("m", 1)))
+            cls = DimerParams if kind == "dimer" else TrimerParams
+            for f in fields(cls):
+                if f.name not in params and f.default is MISSING:
+                    raise ValueError(f"{kind} model needs parameter {f.name!r}")
+            return ModelSpec(kind, cls(**{f.name: float(params.get(f.name, f.default))
+                                          for f in fields(cls)}))
         if kind == "generic":
             terms = []
             for t in params["terms"]:

@@ -774,6 +774,8 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
         if ax.name not in field_names:
             raise ValueError(f"model has no sweepable parameter {ax.name!r} "
                              f"(available: {sorted(field_names)})")
+    if axis1.name == axis2.name:
+        raise ValueError(f"both axes sweep {axis1.name!r}; a phase diagram needs two parameters")
     if getattr(template.params, "delta", None) == 0.0:
         warnings.warn("delta = 0 has no long-range coupling: braids are trivial and the "
                       "exceptional structure is outside the validated regime", stacklevel=2)

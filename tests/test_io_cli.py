@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +94,13 @@ def test_runconfig_validation():
     cfg = RunConfig("bands", DIMER, {"k0": 0.0, "radius": 2.0}, None, "csv")
     with pytest.raises(ValueError):
         cfg.validate()
+    # defaults filled in, integers taken as floats where a float is meant, axes parsed
+    assert RunConfig("riemann", DIMER, {"r": 2}).validate() == \
+        {"r": 2.0, "theta0": 0.0, "samples": 512}
+    assert RunConfig("phase-diagram", DIMER, {"axis1": "beta:0:3:4", "axis2": "gamma:-1:1:5"}
+                     ).validate() == {"axis1": ("beta", 0.0, 3.0, 4),
+                                      "axis2": ("gamma", -1.0, 1.0, 5),
+                                      "k0": np.pi / 4, "samples": 512}
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -214,17 +222,25 @@ def test_cli_eps_on_a_model_degenerate_everywhere_exits_2(tmp_path, capsys):
 
 
 def test_cli_dump_config_reruns_identically(dimer_file, tmp_path, capsys):
-    out1 = tmp_path / "a.csv"
-    cfg = tmp_path / "cfg.json"
-    assert main(["bands", "--model", dimer_file, "--k0", "0.3", "--samples", "128",
-                 "--out", str(out1), "--dump-config", str(cfg)]) == 0
-    doc = json.loads(cfg.read_text())
-    doc["out"] = str(tmp_path / "b.csv")
-    cfg2 = tmp_path / "cfg2.json"
-    cfg2.write_text(json.dumps(doc))
-    assert main(["from-config", str(cfg2)]) == 0
-    assert out1.read_bytes() == (tmp_path / "b.csv").read_bytes()
-    capsys.readouterr()
+    for args in (["bands", "--k0", "0.3", "--samples", "128"],
+                 ["braid", "--k0", "0.3", "--samples", "128"], ["eps"],
+                 ["winding", "--eref", "0.5,-0.25", "--samples", "128"],
+                 ["phase-diagram", "--axis1", "beta:1.4:1.6:3", "--axis2", "gamma:-1:1:5",
+                  "--k0", "0.2", "--samples", "128", "--format", "json"],
+                 ["riemann", "--r", "0.8", "--theta0", "0.1", "--samples", "128"]):
+        cfg = tmp_path / f"{args[0]}.json"
+        out1, out2 = tmp_path / f"{args[0]}-a", tmp_path / f"{args[0]}-b"
+        assert main([args[0], "--model", dimer_file, *args[1:], "--out", str(out1),
+                     "--dump-config", str(cfg)]) == 0
+        summary = capsys.readouterr().out
+        doc = json.loads(cfg.read_text())
+        doc["out"] = str(out2)
+        cfg.write_text(json.dumps(doc))
+        assert main(["from-config", str(cfg)]) == 0
+        assert capsys.readouterr().out == summary
+        assert out1.read_bytes() == out2.read_bytes()
+    assert (tmp_path / "riemann-a.eps.json").read_bytes() == \
+        (tmp_path / "riemann-b.eps.json").read_bytes()
 
 
 def test_cli_determinism(trimer_file, tmp_path, capsys):
@@ -247,6 +263,7 @@ def test_shipped_configs_parse():
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             cfg = RunConfig.from_json_dict(json.load(fh))
+        ModelSpec.from_json_dict(cfg.model)
         cfg.validate()
 
 
@@ -288,3 +305,62 @@ def test_cli_rejects_negative_thread_count(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match="threads"):
         phase_diagram(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0), ("beta", 1.4, 1.6, 2),
                       ("gamma", -1.0, 1.0, 3), threads=-1)
+
+
+# -- bad input at the boundary --------------------------------------------------
+
+FIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("fig*.json"))
+
+
+def _bad_configs():
+    """Each shipped config with one option replaced by a value of the wrong JSON type,
+    and the shape errors of config and model documents, with a fragment of the error."""
+    cases = []
+    for path in FIGS:
+        doc = json.loads(path.read_text())
+        for key, value in doc["options"].items():
+            bad = {"string": str(value), "list": [value], "null": None, "true": True}
+            if isinstance(value, str):
+                del bad["string"]
+            if key == "samples":
+                bad["64.5"] = 64.5
+            for name, wrong in bad.items():
+                cases.append(pytest.param({**doc, "options": {**doc["options"], key: wrong}},
+                                          f"option {key} must be",
+                                          id=f"{path.stem}-{key}-{name}"))
+    pd = {"command": "phase-diagram", "model": DIMER, "out": "pd.csv",
+          "options": {"axis1": "gamma:-1:1:3", "axis2": "gamma:-2:2:4", "samples": 128}}
+    bands = {"command": "bands", "model": DIMER, "out": "bands.csv"}
+    params = DIMER["params"]
+    for name, doc, needle in [
+            ("config-list", [bands], "config must be a JSON object"),
+            ("options-list", {**bands, "options": [["k0", 1.0]]}, "options must be a JSON object"),
+            ("model-string", {**bands, "model": "dimer.json"}, "'model' document"),
+            ("out-int", {**bands, "command": "eps", "out": 1}, "out must be a string or null"),
+            ("m-1.7", {**bands, "model": {"kind": "dimer", "params": {**params, "m": 1.7}}},
+             "m must be a positive integer, got 1.7"),
+            ("missing-v", {**bands, "model": {**TRIMER, "params": {"alpha": 1.0, "beta": 1.0,
+                                                                   "delta": 0.3, "gamma": 0.7}}},
+             "trimer model needs parameter 'v'"),
+            ("params-string", {**bands, "model": {"kind": "dimer", "params": "alpha"}},
+             "params must be a JSON object"),
+            ("repeated-axis", pd, "both axes sweep 'gamma'")]:
+        cases.append(pytest.param(doc, needle, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("doc, needle", _bad_configs())
+def test_cli_rejects_bad_config_at_the_boundary(doc, needle, tmp_path, capsys, monkeypatch):
+    # wrong types ran (a string number, true, 64.5 samples as 64) or died with a
+    # traceback; "out": 1 wrote to file descriptor 1 and closed it
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["from-config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0], lines
+    assert list(work.iterdir()) == []

@@ -697,6 +697,9 @@ def test_phase_diagram_rejects_unknown_axis(fig1_dimer):
         phase_diagram(fig1_dimer(1.0), ("zeta", 0.0, 1.0, 3), ("gamma", 0.0, 1.0, 3))
     with pytest.raises(ValueError):
         phase_diagram(fig1_dimer(1.0), ("m", 1.0, 3.0, 3), ("gamma", 0.0, 1.0, 3))
+    # the second axis overwrote the first, whose values never reached the model
+    with pytest.raises(ValueError, match="both axes sweep 'gamma'"):
+        phase_diagram(fig1_dimer(1.0), ("gamma", -1.0, 1.0, 3), ("gamma", -2.0, 2.0, 4))
 
 
 ROWS = [pytest.param(("dimer", m), id=str(m)) for m in (1, 2, 3)] + [
