@@ -81,6 +81,10 @@ class RunConfig:
     def from_json_dict(doc: dict) -> "RunConfig":
         if not isinstance(doc, dict):
             raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
+        extra = set(doc) - {"command", "model", "options", "out", "format"}
+        if extra:
+            raise ValueError(f"unknown config keys {sorted(extra)} (a config has command, "
+                             f"model, options, out and format)")
         command = doc.get("command")
         if command not in _OPTIONS:
             raise ValueError(f"config command must be one of {tuple(_OPTIONS)}, got {command!r}")

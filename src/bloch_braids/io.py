@@ -77,12 +77,28 @@ def trajectory_to_json_dict(traj: BandTrajectory) -> dict:
 
 
 def phase_diagram_to_csv(diagram: PhaseDiagram) -> str:
+    # a plane repeats its axis values and holds few labels: each value and
+    # each "word,nu,degenerate" tail is formatted once
+    values: dict = {}
+    tails: dict = {}
+
+    def value(x: float) -> str:
+        text = values.get(x)
+        if text is None or x == 0.0:    # 0.0 and -0.0 are one key with two texts
+            text = values[x] = fmt(x)
+        return text
+
+    def tail(cell) -> str:
+        key = (cell.word, cell.nu)
+        text = tails.get(key)
+        if text is None:
+            nu = "" if cell.nu is None else str(cell.nu)
+            text = tails[key] = f"{cell.word},{nu},{'1' if cell.degenerate else '0'}"
+        return text
+
     lines = [f"{diagram.axis1.name},{diagram.axis2.name},word,nu,degenerate"]
     for row in diagram.cells:
-        for cell in row:
-            nu = "" if cell.nu is None else str(cell.nu)
-            flag = "1" if cell.degenerate else "0"
-            lines.append(f"{fmt(cell.value1)},{fmt(cell.value2)},{cell.word},{nu},{flag}")
+        lines += [f"{value(cell.value1)},{value(cell.value2)},{tail(cell)}" for cell in row]
     return "\n".join(lines) + "\n"
 
 

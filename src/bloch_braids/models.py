@@ -251,8 +251,13 @@ class ModelSpec:
             return ModelSpec(kind, cls(**{f.name: float(params.get(f.name, f.default))
                                           for f in fields(cls)}))
         if kind == "generic":
+            if "terms" not in params:
+                raise ValueError("generic model needs 'terms', a list of {'n', 'matrix'} objects")
             terms = []
-            for t in params["terms"]:
+            for i, t in enumerate(params["terms"]):
+                for key in ("n", "matrix"):
+                    if key not in t:
+                        raise ValueError(f"generic model term {i} needs {key!r}")
                 mat = np.array([[complex(re, im) for re, im in row] for row in t["matrix"]])
                 terms.append((int(t["n"]), mat))
             return ModelSpec.generic(terms)

@@ -423,6 +423,24 @@ def riemann_loop(spec: ModelSpec, radius: float, samples: int = TRACK_SAMPLES_DE
 
 # -- spectral winding --------------------------------------------------------
 
+_WIND_STEP = np.pi / 4.0        # the largest phase step a settled winding may take
+_WIND_RESIDUAL = 1e-6           # the largest distance of a settled total from an integer
+
+
+def _winding(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The winding rule, for closed curves sampled along the last axis.
+
+    Returns ``(nu, raw, fine, integral)``: the nearest integer to the total
+    phase in turns, the total itself, whether every phase step is below
+    pi/4, and whether the total is an integer to 1e-6. Steps are differences
+    of angles, wrapped into [-pi, pi).
+    """
+    steps = (np.diff(np.angle(values), axis=-1) + np.pi) % _TWO_PI - np.pi
+    raw = steps.sum(axis=-1) / _TWO_PI
+    nu = np.rint(raw)
+    return nu, raw, np.abs(steps).max(axis=-1) < _WIND_STEP, np.abs(raw - nu) < _WIND_RESIDUAL
+
+
 def _wind(det_at, n: int, samples: int, cap: int) -> list:
     """Windings of det(H - E_ref) about zero over [0, 2pi], for a batch of n cells.
 
@@ -446,13 +464,13 @@ def _wind(det_at, n: int, samples: int, cap: int) -> list:
             det = np.empty((len(cells), k + 1), dtype=complex)
             det[:, ::2], det[:, 1::2] = kept, det_at(cells[:, None], tvals[1::2])
         mags = np.abs(det)
-        steps = (np.diff(np.angle(det), axis=1) + np.pi) % _TWO_PI - np.pi
+        nus, raws, fines, integrals = _winding(det)
         rest = []
-        for i, (low, high, step, total) in enumerate(zip(
-                mags.min(axis=1).tolist(), mags.max(axis=1).tolist(),
-                np.abs(steps).max(axis=1).tolist(), steps.sum(axis=1).tolist())):
-            high, raw = 1.0 + high, total / _TWO_PI
-            on_band, coarse = low < 1e-12 * high, not step < np.pi / 4.0
+        for i, (low, high, nu, raw, fine, integral) in enumerate(zip(
+                mags.min(axis=1).tolist(), mags.max(axis=1).tolist(), nus.tolist(),
+                raws.tolist(), fines.tolist(), integrals.tolist())):
+            high = 1.0 + high
+            on_band, coarse = low < 1e-12 * high, not fine
             if coarse and not on_band and k < cap:
                 rest.append(i)
             elif on_band or coarse and low < 1e-4 * high:
@@ -463,12 +481,12 @@ def _wind(det_at, n: int, samples: int, cap: int) -> list:
             elif coarse:
                 results[cells[i]] = NonConvergent(f"phase steps still above pi/4 at {k} samples")
             else:
-                nu = round(raw)
-                results[cells[i]] = ((nu, raw, abs(raw - nu), k) if abs(raw - nu) < 1e-6 else
+                nu = int(nu)
+                results[cells[i]] = ((nu, raw, abs(raw - nu), k) if integral else
                                      NonConvergent(f"winding {raw} is not integral "
                                                    f"(residual {abs(raw - nu):.3e})"))
         batch = max(1, _REFINE_BATCH_SAMPLES // (2 * k + 1))
         todo += [(cells[rest[s:s + batch]], 2 * k, det[rest[s:s + batch]])
                  for s in range(0, len(rest), batch)]
-        del det, mags, steps
+        del det, mags
     return results

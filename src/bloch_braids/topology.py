@@ -41,7 +41,8 @@ from .braid import (BraidWord, Permutation, _ranks, cyclic_canonical, exponent_s
 from .errors import DegenerateModel, NonConvergent, UnsupportedDegree
 from .models import (DimerParams, ModelSpec, _char_coeffs, _disc, _entries, bloch_matrix,
                      bloch_matrix_z)
-from .spectrum import _det_grid, _eig_grid, _pair_gaps, _roots, _wind, eigenvalues, track_bands
+from .spectrum import (_WIND_RESIDUAL, _WIND_STEP, _det_grid, _eig_grid, _pair_gaps, _roots,
+                       _wind, _winding, eigenvalues, track_bands)
 
 __all__ = [
     "discriminant",
@@ -228,6 +229,13 @@ def most_degenerate_point(spec: ModelSpec, grid_samples: int = 2048) -> Exceptio
 
 # -- z-plane discriminant zeros --------------------------------------------
 
+def _disc_points(spec: ModelSpec) -> tuple[int, np.ndarray]:
+    """(S, the 2S + 1 roots of unity): the discriminant's exponents lie within +/-S."""
+    n = spec.n_bands
+    s = n * (n - 1) * max(abs(t.n) for t in spec.fourier_terms())
+    return s, np.exp(1j * _TWO_PI / (2 * s + 1) * np.arange(2 * s + 1))
+
+
 def _disc_zeros(spec: ModelSpec) -> tuple[int, np.ndarray]:
     """(lowest exponent, roots) of Disc_E det(E - H(z)) of a 2- or 3-band model.
 
@@ -240,9 +248,7 @@ def _disc_zeros(spec: ModelSpec) -> tuple[int, np.ndarray]:
     root is zero. Raises :class:`DegenerateModel` when Disc vanishes
     identically (every point of the plane is degenerate).
     """
-    n = spec.n_bands
-    s = n * (n - 1) * max(abs(t.n) for t in spec.fourier_terms())
-    z = np.exp(1j * _TWO_PI / (2 * s + 1) * np.arange(2 * s + 1))
+    s, z = _disc_points(spec)
     # entry p (mod 2S + 1) of the DFT is (2S + 1) times the coefficient of z^p
     coeffs = np.roll(np.fft.fft(_disc(_char_coeffs(_entries(spec, z)))), s)
     mag = np.abs(coeffs).max()
@@ -366,6 +372,87 @@ def winding_number(spec: ModelSpec, reference_energy: complex,
 # -- reference energies and the total braid index ----------------------------
 
 _WINDING_BATCH_SAMPLES = 1 << 16
+_CERT_GRID = 128            # G, the coarse grid of the certified gate
+_CERT_MARGIN = 1.01         # each certified bound passes the fine gate's test by this factor
+_CERT_ROUNDING = 1e-13      # relative rounding allowance per Laurent coefficient (~450 ulps)
+
+
+def _dimer_disc(e):
+    """D = ((e11 - e22)/2)^2 + e12 e21 = (E1 - E2)^2/4 from the rows of a 2x2 H."""
+    (e11, e12), (e21, e22) = e
+    return (0.5 * (e11 - e22)) ** 2 + e12 * e21
+
+
+def _certified(spec: ModelSpec, name: str, values: np.ndarray, k0: float,
+               samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(nu, certified, slope, low)`` for a dimer row that sets ``name`` to ``values``.
+
+    D(t) = sum_p c_p e^{ipt} (and the band mean) is a Laurent polynomial
+    in z = e^{it} of exponents within +/-2m: one DFT of the kernel's values
+    at the 4m + 1 roots of unity gives its coefficients, and those of the
+    four entries. By the coefficient form of Bernstein's inequality,
+    ``slope`` = sum |p c_p| >= max|D'|, and likewise for the mean. Every
+    point of the circle lies within pi/G of the G-point grid k0 + 2pi j/G,
+    so ``low`` = min over that grid of |D| - (pi/G) slope bounds |D| from
+    below, and every step of the tracker's grid is at most
+    (2pi/samples) slope. ``certified`` marks the cells whose bounds pass
+    each part of the fine gate (:func:`_dimer_windings`) by the factor
+    ``_CERT_MARGIN``: phase steps below pi/4 (the total then lies within
+    1e-6 of an integer), the jump bound, the gap floor against an upper
+    bound on the scale, and the real-part split at k0, evaluated at k0
+    itself; and whose coarse steps, at most (2pi/G) slope, stay below
+    ``low``, so that no coarse segment winds round 0. ``nu``, the winding
+    of D on the coarse grid, is then the fine gate's.
+
+    The fine gate reads values rounded differently from these: numpy's
+    temporary elision alone can change D(k0) in its last bits between the
+    two grids. Each evaluation of D at a grid point is within ``err`` =
+    ``_CERT_ROUNDING`` (4m + 1) (T + (|k0| + 2pi) slope) of D at the exact
+    point, where T = (S11 + S22)^2 / 4 + S12 S21 bounds the terms D is
+    summed from (S_ij: the sum of the |coefficients| of entry ij); the DFT
+    coefficients' errors sum to less, so ``slope`` is raised by 2m err.
+    Every rounded value the bounds compare widens them by ``err`` (Re sqrt
+    of D(k0) by sqrt(2 err)), and the margin covers the rounding of the
+    comparisons themselves, so a certified cell passes the fine gate with
+    the same nu.
+    """
+    top, roots = _disc_points(spec)     # exponents of D within +/-top
+    n = len(roots)
+    e = _entries(spec, roots, {name: values[:, None]})
+    (e11, e12), (e21, e22) = e
+    parts = (e11, e12, e21, e22, _dimer_disc(e), 0.5 * (e11 + e22))
+    # one DFT: column p (mod n) of each part is n times its coefficient of z^p
+    coeffs = np.abs(np.fft.fft(np.stack([np.broadcast_to(x, (len(values), n)) for x in parts]),
+                               axis=-1)) / n
+    power = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    s11, s12, s21, s22, _, s_mean = coeffs.sum(axis=-1)
+    slope, slope_mean = coeffs[4:] @ power
+    reach = abs(k0) + _TWO_PI
+    err = _CERT_ROUNDING * n * (0.25 * (s11 + s22) ** 2 + s12 * s21 + reach * slope)
+    err_mean = _CERT_ROUNDING * n * (0.5 * (s11 + s22) + reach * slope_mean)
+    slope, slope_mean = slope + top * err, slope_mean + top * err_mean
+
+    t = k0 + np.linspace(0.0, _TWO_PI, _CERT_GRID + 1)
+    disc = np.broadcast_to(_dimer_disc(_entries(spec, np.exp(1j * t), {name: values[:, None]})),
+                           (len(values), len(t)))
+    mag = np.abs(disc)
+    half = np.pi / _CERT_GRID
+    low = mag.min(axis=1) - half * slope - 2.0 * err
+    scale = 1.0 + s_mean + 2.0 * err_mean + np.sqrt(mag.max(axis=1) + half * slope + 2.0 * err)
+    h = _TWO_PI / samples
+    step = h * slope + 2.0 * err
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(np.maximum(low, 0.0))
+        jump = h * slope_mean + 2.0 * err_mean + step / (2.0 * math.cos(math.pi / 8.0) * root)
+        certified = ((_CERT_MARGIN * step < math.sin(_WIND_STEP) * low)
+                     & (_CERT_MARGIN * err < _WIND_RESIDUAL * low)
+                     & (_CERT_MARGIN * jump < 0.45 * root)
+                     & (_CERT_MARGIN * 1e-6 * scale < root)
+                     & (np.abs(np.sqrt(disc[:, 0]).real) - np.sqrt(2.0 * err)
+                        > _CERT_MARGIN * 1e-6 * scale)
+                     & (_CERT_MARGIN * (2.0 * half * slope + 2.0 * err) < low))
+    nu = _winding(disc)[0]
+    return nu.astype(int), certified, slope, low
 
 
 def _dimer_windings(spec: ModelSpec, name: str, values: np.ndarray, k0: float,
@@ -375,30 +462,33 @@ def _dimer_windings(spec: ModelSpec, name: str, values: np.ndarray, k0: float,
     ``nu`` is the winding of D = ((e11 - e22)/2)^2 + e12 e21 = (E1 - E2)^2/4
     over the tracker's first grid, k0 + linspace(0, 2pi, samples + 1).
     ``fast`` marks the cells where that grid guarantees what the tracker and
-    reader would find there: every phase step of D is below pi/4 and the
-    total is an integer to 1e-6; the largest step of a band, bounded by
-    max|d mean| + max|dD| / (2 cos(pi/8) sqrt(min|D|)), stays below 0.45
-    sqrt(min|D|), half the smallest gap; that half gap exceeds 1e-6 of the
-    spectral scale; and the real parts at k0 differ by more than 1e-6 of it.
+    reader would find there: D obeys the winding rule (every phase step
+    below pi/4, the total an integer to 1e-6); the largest step of a band,
+    bounded by max|d mean| + max|dD| / (2 cos(pi/8) sqrt(min|D|)), stays
+    below 0.45 sqrt(min|D|), half the smallest gap; that half gap exceeds
+    1e-6 of the spectral scale; and the real parts at k0 differ by more than
+    1e-6 of it. :func:`_classify` runs it on the cells that
+    :func:`_certified` leaves.
     """
     t = k0 + np.linspace(0.0, _TWO_PI, samples + 1)
-    (e11, e12), (e21, e22) = _entries(spec, np.exp(1j * t), {name: values[:, None]})
+    e = _entries(spec, np.exp(1j * t), {name: values[:, None]})
     shape = (len(values), samples + 1)
-    mean = np.broadcast_to(0.5 * (e11 + e22), shape)
-    disc = np.broadcast_to((0.5 * (e11 - e22)) ** 2 + e12 * e21, shape)
-    del e11, e12, e21, e22
-    steps = np.angle(disc[:, 1:] * disc[:, :-1].conj())
-    raw = steps.sum(axis=1) / _TWO_PI
-    nu = np.rint(raw)
+    # the mean is reduced and released before D is formed: the fewer arrays a
+    # batch holds at once, the less the worker threads' heaps fragment
+    mean = np.broadcast_to(0.5 * (e[0][0] + e[1][1]), shape)
+    mean_max, mean_jump = np.abs(mean).max(axis=1), np.abs(np.diff(mean, axis=1)).max(axis=1)
+    del mean
+    disc = np.broadcast_to(_dimer_disc(e), shape)
+    del e
+    nu, _, fine, integral = _winding(disc)
     mag = np.abs(disc)
     half_gap = np.sqrt(mag.min(axis=1))
-    scale = 1.0 + np.abs(mean).max(axis=1) + np.sqrt(mag.max(axis=1))   # >= 1 + max|E|
+    scale = 1.0 + mean_max + np.sqrt(mag.max(axis=1))   # >= 1 + max|E|
+    del mag
     with np.errstate(divide="ignore", invalid="ignore"):
-        jump = (np.abs(np.diff(mean, axis=1)).max(axis=1)
-                + np.abs(np.diff(disc, axis=1)).max(axis=1)
+        jump = (mean_jump + np.abs(np.diff(disc, axis=1)).max(axis=1)
                 / (2.0 * math.cos(math.pi / 8.0) * half_gap))
-    fast = ((np.abs(steps).max(axis=1) < np.pi / 4.0) & (np.abs(raw - nu) < 1e-6)
-            & (jump < 0.45 * half_gap) & (half_gap > 1e-6 * scale)
+    fast = (fine & integral & (jump < 0.45 * half_gap) & (half_gap > 1e-6 * scale)
             & (np.abs(np.sqrt(disc[:, 0]).real) > 1e-6 * scale))
     return nu.astype(int), fast
 
@@ -417,20 +507,29 @@ def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int) -> tu
     fails (on an exceptional point, at the refinement cap, at a degenerate
     or unresolved crossing) gets the exception it failed with. The braid
     group of two bands is Abelian, so a dimer cell whose discriminant
-    winding nu is well conditioned on the tracker's first grid
-    (:func:`_dimer_windings`) is labelled from nu alone. Every other cell
-    is tracked and read, in one call of the family's row classifier.
+    winding nu is well conditioned on the tracker's first grid is labelled
+    from nu alone: first, for the whole row at once, wherever bounds from
+    the Laurent coefficients of D and a coarse grid certify it
+    (:func:`_certified`), then, in cache-sized batches of the cells left,
+    wherever the fine gate on the tracker's grid finds it
+    (:func:`_dimer_windings`). Every other cell is tracked and read, in one
+    call of the family's row classifier. The row's DEBUG record counts the
+    certified and the tracked cells.
     """
     if samples < 64:    # the tracker's floor, also where no cell reaches it
         raise ValueError(f"need at least 64 samples, got {samples}")
     values = np.asarray(values, dtype=float)
     labels: list = [None] * len(values)
     rest = np.arange(len(values))
+    certified = 0
     if spec.kind == "dimer":
+        nu, fast = _certified(spec, name, values, k0, samples)[:2]
+        certified = int(np.count_nonzero(fast))
+        rest = np.flatnonzero(~fast)
         batch = max(1, _WINDING_BATCH_SAMPLES // (samples + 1))   # cache-sized batches
-        nu, fast = (np.concatenate(parts) for parts in zip(*(
-            _dimer_windings(spec, name, values[s:s + batch], k0, samples)
-            for s in range(0, len(values), batch))))
+        for s in range(0, len(rest), batch):
+            cells = rest[s:s + batch]
+            nu[cells], fast[cells] = _dimer_windings(spec, name, values[cells], k0, samples)
         by_nu = {v: _b2_label(v) for v in set(nu[fast].tolist())}
         for i, v in zip(np.flatnonzero(fast).tolist(), nu[fast].tolist()):
             labels[i] = by_nu[v]
@@ -443,7 +542,8 @@ def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int) -> tu
         for i, res in zip(rest.tolist(), row_classify(**fields, k0=k0, samples=samples)):
             labels[i] = (res if isinstance(res, Exception) else
                          (word_to_text(cyclic_canonical(res[0])), exponent_sum(res[0]), res[1]))
-    _LOG.debug("%s row over %s: %d cells, %d tracked", spec.kind, name, len(values), len(rest))
+    _LOG.debug("%s row over %s: %d cells, %d certified, %d tracked", spec.kind, name,
+               len(values), certified, len(rest))
     return labels, len(rest)
 
 

@@ -344,7 +344,17 @@ def _bad_configs():
              "trimer model needs parameter 'v'"),
             ("params-string", {**bands, "model": {"kind": "dimer", "params": "alpha"}},
              "params must be a JSON object"),
-            ("repeated-axis", pd, "both axes sweep 'gamma'")]:
+            ("repeated-axis", pd, "both axes sweep 'gamma'"),
+            ("option-typo", {**bands, "option": {"k0": 1.0, "samples": 64}},
+             "unknown config keys ['option']"),
+            ("generic-no-terms", {**bands, "model": {"kind": "generic",
+                                                    "params": {"dimension": 2}}},
+             "generic model needs 'terms'"),
+            ("generic-term-no-matrix", {**bands, "model": {"kind": "generic", "params": {
+                "dimension": 2, "terms": [{"n": 0}]}}}, "generic model term 0 needs 'matrix'"),
+            ("generic-term-no-n", {**bands, "model": {"kind": "generic", "params": {
+                "dimension": 2, "terms": [{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}}},
+             "generic model term 0 needs 'n'")]:
         cases.append(pytest.param(doc, needle, id=name))
     return cases
 
@@ -364,3 +374,31 @@ def test_cli_rejects_bad_config_at_the_boundary(doc, needle, tmp_path, capsys, m
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0], lines
     assert list(work.iterdir()) == []
+
+
+# -- golden bytes ----------------------------------------------------------------
+
+# sha256 of the phase-diagram CSV of a fig1b slab: 6 beta rows in [0.25, 2] by
+# 600 gamma cells in [-3, 3]; every row crosses |gamma| = |beta - alpha| and
+# |gamma| = beta + alpha, which the last row meets at its two end cells
+SLAB_CSV_SHA256 = {
+    1: "4749b88682fddb15a88a40ff69fa45f1e09082776a75e206d02b9a749f356f67",
+    2: "269b8664ee8c3f8fd77f8e0502927138a7cb9657a560b1671bf8ba44abe348ba",
+}
+
+
+@pytest.mark.parametrize("m", sorted(SLAB_CSV_SHA256))
+def test_cli_phase_diagram_csv_golden_bytes(m, tmp_path, capsys, monkeypatch):
+    import hashlib
+    doc = {"command": "phase-diagram", "format": "csv",
+           "model": {"kind": "dimer", "params": {**DIMER["params"], "m": m}},
+           "options": {"axis1": "beta:0.25:2:6", "axis2": "gamma:-3:3:600",
+                       "k0": 0.7853981633974483, "samples": 512},
+           "out": "slab.csv"}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["from-config", str(cfg)]) == 0
+    assert capsys.readouterr().out == "cells: 3600, degenerate: 2, phases: 3\n"
+    digest = hashlib.sha256((tmp_path / "slab.csv").read_bytes()).hexdigest()
+    assert digest == SLAB_CSV_SHA256[m]

@@ -747,22 +747,31 @@ def test_row_engine_agrees_with_scalar_classifier(row, fig1_dimer, fig3_trimer):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_dimer_fast_path_agrees_with_tracker(m):
     # a fig1b slab over both exceptional lines, with cells on each line and
-    # 1e-9 beside it, and one row along beta: a cell labelled from its
-    # discriminant winding reads as the tracker reads it, and every cell the
-    # tracker fails on still fails with the tracker's exception
+    # 1e-9 beside it, one row along beta and one along delta (where the band
+    # mean varies from cell to cell): a cell labelled from its discriminant
+    # winding reads as the tracker reads it, every cell the tracker fails on
+    # still fails with the tracker's exception, and every cell the certified
+    # gate labels passes the fine gate with the same winding
     from bloch_braids.braid import cyclic_canonical, exponent_sum, word_to_text
     from bloch_braids.sweep import dimer_row_classify
-    from bloch_braids.topology import _classify
+    from bloch_braids.topology import _certified, _classify, _dimer_windings
     rows = [("gamma", {"beta": beta}, np.append(np.linspace(-3.0, 3.0, 241), [
         g + d for g in (beta - 1.0, 1.0 - beta, beta + 1.0, -beta - 1.0)
         for d in (-1e-9, 0.0, 1e-9)])) for beta in (0.5, 1.5, 2.5)]
     rows.append(("beta", {"gamma": 1.0}, np.append(np.linspace(0.0, 3.0, 121),
                                                    [2.0 - 1e-9, 2.0, 2.0 + 1e-9])))
-    fast = tracked = failed = 0
+    rows.append(("delta", {"gamma": 2.5}, np.linspace(-1.0, 1.0, 41)))
+    fast = tracked = failed = certified = fine = 0
     for name, fixed, values in rows:
         params = {"alpha": 1.0, "beta": 1.5, "delta": 0.3, "gamma": 1.0, "m": m, **fixed}
-        labels, n_tracked = _classify(ModelSpec.dimer(**params), name, values, PI4, 512)
+        spec = ModelSpec.dimer(**params)
+        labels, n_tracked = _classify(spec, name, values, PI4, 512)
         fast, tracked = fast + len(values) - n_tracked, tracked + n_tracked
+        nu, cert = _certified(spec, name, values, PI4, 512)[:2]
+        nu_fine, passed = _dimer_windings(spec, name, values, PI4, 512)
+        assert not (cert & ~passed).any(), values[cert & ~passed]
+        assert (nu[cert] == nu_fine[cert]).all(), values[cert & (nu != nu_fine)]
+        certified, fine = certified + cert.sum(), fine + passed.sum()
         params[name] = values
         for value, lab, res in zip(values, labels, dimer_row_classify(**params, k0=PI4)):
             if isinstance(res, Exception):
@@ -773,3 +782,30 @@ def test_dimer_fast_path_agrees_with_tracker(m):
                 assert lab == (word_to_text(cyclic_canonical(word)), exponent_sum(word),
                                res[1]), (name, value)
     assert fast >= 1 and tracked >= 1 and failed >= 1
+    assert 1 <= certified < fine
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_certified_bounds_hold_on_a_dense_grid(seed):
+    # on random dimers, sum |p c_p| bounds every finite difference of D on a
+    # 2^16-sample grid, and the lower bound on |D| lies below its minimum
+    # there; the gate labels no cell the fine gate would not pass
+    from bloch_braids.topology import _certified, _dimer_windings
+    rng = np.random.default_rng(seed)
+    m = seed % 3 + 1
+    alpha, beta, delta = rng.uniform(-2.0, 2.0, 3)
+    gamma = rng.uniform(-3.0, 3.0, 8)
+    k0 = rng.uniform(-4.0, 4.0)
+    spec = ModelSpec.dimer(alpha, beta, delta, 0.0, m)
+    nu, cert, slope, low = _certified(spec, "gamma", gamma, k0, 512)
+    nu_fine, passed = _dimer_windings(spec, "gamma", gamma, k0, 512)
+    assert not (cert & ~passed).any() and (nu[cert] == nu_fine[cert]).all()
+    # D = (E1 - E2)^2 / 4 from the momentum-space matrix of the models docstring
+    k = np.linspace(0.0, 2.0 * np.pi, (1 << 16) + 1)
+    h11 = 2.0 * delta * np.sin(m * k) + 1j * gamma[:, None]
+    h22 = -1j * gamma[:, None]
+    disc = (0.5 * (h11 - h22)) ** 2 + (alpha + beta * np.exp(-1j * m * k)) * (
+        alpha + beta * np.exp(1j * m * k))
+    steepest = np.abs(np.diff(disc, axis=1)).max(axis=1) / (k[1] - k[0])
+    assert (steepest <= slope).all(), steepest - slope
+    assert (low <= np.abs(disc).min(axis=1)).all(), low - np.abs(disc).min(axis=1)
