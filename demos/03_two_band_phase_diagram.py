@@ -1,9 +1,11 @@
 """Braid phase diagram of the two-band chain in the (beta, gamma) plane.
 
-Every grid cell is tracked, its braid word extracted and classified; cells
-that land on an exceptional point are marked DEGENERATE. The boundaries of
-the classified regions trace the analytic exceptional lines
-gamma = +/-(beta - alpha) and gamma = +/-(beta + alpha).
+The braid group of two bands is Abelian, so most cells are labelled from
+their discriminant winding alone; only the cells near an exceptional line,
+where that winding is not well conditioned, are tracked and have their
+braid word extracted. Cells that land on an exceptional point are marked
+DEGENERATE. The boundaries of the classified regions trace the analytic
+exceptional lines gamma = +/-(beta - alpha) and gamma = +/-(beta + alpha).
 
 A 120 x 240 grid takes a few seconds; the acceptance suite runs the full
 300 x 600 version.

@@ -33,8 +33,8 @@ from .braid import cyclic_canonical, exponent_sum, extract_braid_word, word_to_t
 from .errors import NumericalFailure
 from .models import ModelSpec, _require_finite
 from .spectrum import riemann_loop, track_bands
-from .topology import (dimer_ep_zplane, find_eps_k, phase_diagram, total_braid_index,
-                       winding_number)
+from .topology import (DEGENERATE, dimer_ep_zplane, find_eps_k, phase_diagram,
+                       total_braid_index, winding_number)
 
 # Each command's options and their defaults. The type of a default is the
 # option's type (a float option takes any JSON number, an int option only a
@@ -187,10 +187,10 @@ def _run_phase_diagram(config: RunConfig, spec: ModelSpec, opt: dict) -> str:
         _write(config.out, bio.phase_diagram_to_csv(diagram))
     else:
         _write(config.out, bio.dumps_json(bio.phase_diagram_to_json_dict(diagram)))
-    words = {c.word for row in diagram.cells for c in row if not c.degenerate}
-    n_deg = len(diagram.degenerate_cells())
-    total = diagram.axis1.resolution * diagram.axis2.resolution
-    return f"cells: {total}, degenerate: {n_deg}, phases: {len(words)}"
+    words = [word for word, _, _ in diagram.labels]
+    n_deg = sum(int((diagram.ids == k).sum()) for k, w in enumerate(words) if w == DEGENERATE)
+    phases = len(set(words) - {DEGENERATE})
+    return f"cells: {diagram.ids.size}, degenerate: {n_deg}, phases: {phases}"
 
 
 def _run_riemann(config: RunConfig, spec: ModelSpec, opt: dict) -> str:

@@ -19,7 +19,7 @@ import json
 from typing import Iterable
 
 from .spectrum import BandTrajectory
-from .topology import ExceptionalPoint, PhaseDiagram
+from .topology import DEGENERATE, ExceptionalPoint, PhaseDiagram
 
 __all__ = [
     "fmt",
@@ -77,32 +77,21 @@ def trajectory_to_json_dict(traj: BandTrajectory) -> dict:
 
 
 def phase_diagram_to_csv(diagram: PhaseDiagram) -> str:
-    # a plane repeats its axis values and holds few labels: each value and
-    # each "word,nu,degenerate" tail is formatted once
-    values: dict = {}
-    tails: dict = {}
-
-    def value(x: float) -> str:
-        text = values.get(x)
-        if text is None or x == 0.0:    # 0.0 and -0.0 are one key with two texts
-            text = values[x] = fmt(x)
-        return text
-
-    def tail(cell) -> str:
-        key = (cell.word, cell.nu)
-        text = tails.get(key)
-        if text is None:
-            nu = "" if cell.nu is None else str(cell.nu)
-            text = tails[key] = f"{cell.word},{nu},{'1' if cell.degenerate else '0'}"
-        return text
-
+    # each axis value and each label's "word,nu,degenerate" tail is formatted once
+    vals1, vals2 = ([fmt(x) for x in ax.values()] for ax in (diagram.axis1, diagram.axis2))
+    tails = [f"{word},{'' if nu is None else nu},{'1' if word == DEGENERATE else '0'}"
+             for word, nu, _ in diagram.labels]
     lines = [f"{diagram.axis1.name},{diagram.axis2.name},word,nu,degenerate"]
-    for row in diagram.cells:
-        lines += [f"{value(cell.value1)},{value(cell.value2)},{tail(cell)}" for cell in row]
+    for v1, row in zip(vals1, diagram.ids.tolist()):
+        lines += [f"{v1},{v2},{tails[k]}" for v2, k in zip(vals2, row)]
     return "\n".join(lines) + "\n"
 
 
 def phase_diagram_to_json_dict(diagram: PhaseDiagram) -> dict:
+    # one dict per label, merged into each cell's values; its cells share its permutation list
+    tails = [{"word": word, "nu": nu, "permutation": None if perm is None else list(perm.image)}
+             for word, nu, perm in diagram.labels]
+    vals2 = diagram.axis2.values().tolist()
     return {
         "model": diagram.template.to_json_dict(),
         "k0": diagram.k0,
@@ -111,10 +100,8 @@ def phase_diagram_to_json_dict(diagram: PhaseDiagram) -> dict:
                   "stop": diagram.axis1.stop, "resolution": diagram.axis1.resolution},
         "axis2": {"name": diagram.axis2.name, "start": diagram.axis2.start,
                   "stop": diagram.axis2.stop, "resolution": diagram.axis2.resolution},
-        "cells": [[{"value1": c.value1, "value2": c.value2, "word": c.word,
-                    "nu": c.nu,
-                    "permutation": None if c.permutation is None else list(c.permutation.image)}
-                   for c in row] for row in diagram.cells],
+        "cells": [[{"value1": v1, "value2": v2, **tails[k]} for v2, k in zip(vals2, row)]
+                  for v1, row in zip(diagram.axis1.values().tolist(), diagram.ids.tolist())],
         "boundaries": diagram.boundary_polylines(),
     }
 

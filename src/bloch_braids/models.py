@@ -168,11 +168,14 @@ class ModelSpec:
         return ModelSpec("trimer", TrimerParams(alpha, beta, delta, gamma, v, m))
 
     @staticmethod
-    def generic(terms: Sequence[tuple[int, np.ndarray]]) -> "ModelSpec":
+    def generic(terms: Sequence[tuple[int, np.ndarray]],
+                dimension: int | None = None) -> "ModelSpec":
+        """A Fourier-sum model; ``dimension`` defaults to the first term's size."""
         fts = tuple(FourierTerm(int(n), np.asarray(a, dtype=complex)) for n, a in terms)
         if not fts:
             raise ValueError("generic model needs at least one Fourier term")
-        return ModelSpec("generic", GenericParams(fts[0].matrix.shape[0], fts))
+        return ModelSpec("generic", GenericParams(
+            fts[0].matrix.shape[0] if dimension is None else dimension, fts))
 
     @property
     def n_bands(self) -> int:
@@ -245,9 +248,17 @@ class ModelSpec:
             raise ValueError(f"model params must be a JSON object, got {params!r}")
         if kind in ("dimer", "trimer"):
             cls = DimerParams if kind == "dimer" else TrimerParams
+            names = [f.name for f in fields(cls)]
+            extra = set(params) - set(names)
+            if extra:
+                raise ValueError(f"unknown {kind} parameters {sorted(extra)} "
+                                 f"(a {kind} has {', '.join(names)})")
             for f in fields(cls):
                 if f.name not in params and f.default is MISSING:
                     raise ValueError(f"{kind} model needs parameter {f.name!r}")
+                value = params.get(f.name, f.default)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"{kind} parameter {f.name} must be a number, got {value!r}")
             return ModelSpec(kind, cls(**{f.name: float(params.get(f.name, f.default))
                                           for f in fields(cls)}))
         if kind == "generic":
@@ -258,9 +269,17 @@ class ModelSpec:
                 for key in ("n", "matrix"):
                     if key not in t:
                         raise ValueError(f"generic model term {i} needs {key!r}")
-                mat = np.array([[complex(re, im) for re, im in row] for row in t["matrix"]])
+                try:
+                    mat = np.array([[complex(re, im) for re, im in row] for row in t["matrix"]])
+                except (TypeError, ValueError):
+                    raise ValueError(f"generic model term {i} 'matrix' must be rows of [re, im] "
+                                     f"pairs, got {t['matrix']!r}") from None
                 terms.append((int(t["n"]), mat))
-            return ModelSpec.generic(terms)
+            dimension = params.get("dimension")
+            if dimension is not None and (isinstance(dimension, bool)
+                                          or not isinstance(dimension, int)):
+                raise ValueError(f"generic model dimension must be an integer, got {dimension!r}")
+            return ModelSpec.generic(terms, dimension)
         raise ValueError(f"unknown model kind {kind!r}")
 
 

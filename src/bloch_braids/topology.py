@@ -23,6 +23,7 @@ without tracking any band.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import logging
 import math
@@ -780,53 +781,64 @@ def _thread_count(requested: int | None = None) -> int:
     return requested
 
 
-@dataclass
+@dataclass(eq=False)
 class PhaseDiagram:
-    """Braid classification of a 2-parameter plane.
+    """Braid classification of a 2-parameter plane: a label table and an id grid.
 
-    Cells where tracking or extraction hits an exceptional point carry the
-    DEGENERATE marker; these trace out the phase-boundary lines.
+    ``labels`` lists each distinct (word, nu, permutation) once, in row-major
+    order of first appearance; cells where tracking or extraction hits an
+    exceptional point share the entry ``(DEGENERATE, None, None)`` and trace
+    out the phase-boundary lines. ``ids[i, j]`` indexes cell (i, j)'s label.
     """
 
     template: ModelSpec
     axis1: AxisSpec
     axis2: AxisSpec
-    cells: list[list[PhaseCell]]
+    labels: list[tuple]
+    ids: np.ndarray
     k0: float
     samples: int
     tracked_cells: int = 0      # cells labelled by the tracker, not by their winding
 
+    @functools.cached_property
+    def cells(self) -> list[list[PhaseCell]]:
+        """Every cell as a :class:`PhaseCell`, row by row, built on first access."""
+        vals2 = self.axis2.values().tolist()
+        return [[PhaseCell(v1, v2, *self.labels[k]) for v2, k in zip(vals2, row)]
+                for v1, row in zip(self.axis1.values().tolist(), self.ids.tolist())]
+
+    def _cell(self, i: int, j: int) -> PhaseCell:
+        return PhaseCell(float(self.axis1.values()[i]), float(self.axis2.values()[j]),
+                         *self.labels[self.ids[i, j]])
+
     def cell_at(self, value1: float, value2: float) -> PhaseCell:
         """The cell whose grid point lies nearest to (value1, value2)."""
-        i = int(np.argmin(np.abs(self.axis1.values() - value1)))
-        j = int(np.argmin(np.abs(self.axis2.values() - value2)))
-        return self.cells[i][j]
+        return self._cell(int(np.argmin(np.abs(self.axis1.values() - value1))),
+                          int(np.argmin(np.abs(self.axis2.values() - value2))))
 
     def degenerate_cells(self) -> list[PhaseCell]:
-        return [c for row in self.cells for c in row if c.degenerate]
+        degenerate = np.array([word == DEGENERATE for word, _, _ in self.labels])
+        return [self._cell(i, j) for i, j in zip(*np.nonzero(degenerate[self.ids]))]
 
     def boundary_segments(self) -> list[dict]:
         """Midpoints between adjacent cells with different phase labels.
 
         Each segment records the two cell centres it separates and both
         labels; chained per label pair they draw the phase-boundary lines.
+        They run in row-major order, a cell's lower neighbour before its right.
         """
-        segs = []
-        n1, n2 = self.axis1.resolution, self.axis2.resolution
-        for i in range(n1):
-            for j in range(n2):
-                a = self.cells[i][j]
-                for di, dj in ((1, 0), (0, 1)):
-                    ii, jj = i + di, j + dj
-                    if ii >= n1 or jj >= n2:
-                        continue
-                    b = self.cells[ii][jj]
-                    if a.label != b.label:
-                        segs.append({
-                            "point": (0.5 * (a.value1 + b.value1), 0.5 * (a.value2 + b.value2)),
-                            "labels": sorted([a.word, b.word]),
-                        })
-        return segs
+        ids = self.ids
+        edges = np.zeros(ids.shape + (2,), dtype=bool)
+        edges[:-1, :, 0] = ids[:-1] != ids[1:]
+        edges[:, :-1, 1] = ids[:, :-1] != ids[:, 1:]
+        i, j, right = np.nonzero(edges)
+        ii, jj = i + 1 - right, j + right
+        vals1, vals2 = self.axis1.values(), self.axis2.values()
+        words = [word for word, _, _ in self.labels]
+        return [{"point": (x, y), "labels": sorted([words[a], words[b]])}
+                for x, y, a, b in zip((0.5 * (vals1[i] + vals1[ii])).tolist(),
+                                      (0.5 * (vals2[j] + vals2[jj])).tolist(),
+                                      ids[i, j].tolist(), ids[ii, jj].tolist())]
 
     def boundary_polylines(self) -> list[dict]:
         """Boundary midpoints grouped by label pair and chained into runs."""
@@ -863,7 +875,8 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     ``tracked_cells`` of the result counts the tracked cells, and each row
     logs one DEBUG record to the ``bloch_braids`` logger. Rows run in a
     thread pool (``threads``, else BLOCH_BRAIDS_THREADS, caps the worker
-    count; 0 means automatic, a negative count raises ``ValueError``).
+    count; 0 means automatic, a negative count raises ``ValueError``); the
+    labels are interned after the pool, so ids never depend on scheduling.
     """
     axis1 = axis1 if isinstance(axis1, AxisSpec) else AxisSpec(*axis1)
     axis2 = axis2 if isinstance(axis2, AxisSpec) else AxisSpec(*axis2)
@@ -883,13 +896,9 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     vals1 = axis1.values()
     vals2 = axis2.values()
 
-    def classify_row(i: int) -> tuple[list[PhaseCell], int]:
-        v1 = float(vals1[i])
-        labels, tracked = _classify(template.replace_param(axis1.name, v1), axis2.name, vals2,
-                                    k0, samples)
-        return [PhaseCell(v1, v2, DEGENERATE, None, None) if isinstance(lab, Exception)
-                else PhaseCell(v1, v2, *lab)
-                for v2, lab in zip(vals2.tolist(), labels)], tracked
+    def classify_row(i: int) -> tuple[list, int]:
+        return _classify(template.replace_param(axis1.name, float(vals1[i])), axis2.name, vals2,
+                         k0, samples)
 
     workers = _thread_count(threads)
     if workers == 1:
@@ -897,5 +906,9 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(classify_row, range(len(vals1))))
-    return PhaseDiagram(template, axis1, axis2, [row for row, _ in rows], k0, samples,
+    index: dict = {}        # label -> id, in row-major order of first appearance
+    ids = np.array([[index.setdefault((DEGENERATE, None, None) if isinstance(lab, Exception)
+                                      else lab, len(index)) for lab in row] for row, _ in rows],
+                   dtype=np.intp)
+    return PhaseDiagram(template, axis1, axis2, list(index), ids, k0, samples,
                         sum(tracked for _, tracked in rows))

@@ -331,7 +331,9 @@ def _bad_configs():
     pd = {"command": "phase-diagram", "model": DIMER, "out": "pd.csv",
           "options": {"axis1": "gamma:-1:1:3", "axis2": "gamma:-2:2:4", "samples": 128}}
     bands = {"command": "bands", "model": DIMER, "out": "bands.csv"}
+    eps = {"command": "eps", "model": DIMER, "out": "eps.json"}
     params = DIMER["params"]
+    unit = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]     # a 2x2 matrix of [re, im] pairs
     for name, doc, needle in [
             ("config-list", [bands], "config must be a JSON object"),
             ("options-list", {**bands, "options": [["k0", 1.0]]}, "options must be a JSON object"),
@@ -354,7 +356,24 @@ def _bad_configs():
                 "dimension": 2, "terms": [{"n": 0}]}}}, "generic model term 0 needs 'matrix'"),
             ("generic-term-no-n", {**bands, "model": {"kind": "generic", "params": {
                 "dimension": 2, "terms": [{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}}},
-             "generic model term 0 needs 'n'")]:
+             "generic model term 0 needs 'n'"),
+            ("generic-dimension-3", {**eps, "model": {"kind": "generic", "params": {
+                "dimension": 3, "terms": [{"n": 1, "matrix": unit}]}}},
+             "has shape (2, 2), expected (3, 3)"),
+            ("generic-plain-matrix", {**bands, "model": {"kind": "generic", "params": {
+                "dimension": 2, "terms": [{"n": 0, "matrix": [[1, 0], [0, 1]]}]}}},
+             "generic model term 0 'matrix' must be rows of [re, im] pairs"),
+            ("param-string-number", {**eps, "model": {"kind": "dimer",
+                                                      "params": {**params, "alpha": "1.0"}}},
+             "dimer parameter alpha must be a number, got '1.0'"),
+            ("param-true", {**eps, "model": {"kind": "dimer",
+                                             "params": {**params, "gamma": True}}},
+             "dimer parameter gamma must be a number, got True"),
+            ("param-null", {**eps, "model": {"kind": "dimer",
+                                             "params": {**params, "delta": None}}},
+             "dimer parameter delta must be a number, got None"),
+            ("dimer-v", {**eps, "model": {"kind": "dimer", "params": {**params, "v": 0.7}}},
+             "unknown dimer parameters ['v']")]:
         cases.append(pytest.param(doc, needle, id=name))
     return cases
 
@@ -402,3 +421,152 @@ def test_cli_phase_diagram_csv_golden_bytes(m, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "cells: 3600, degenerate: 2, phases: 3\n"
     digest = hashlib.sha256((tmp_path / "slab.csv").read_bytes()).hexdigest()
     assert digest == SLAB_CSV_SHA256[m]
+
+
+# sha256 of the phase-diagram JSON of the m = 1 slab above and of a fig3b slab:
+# 5 beta rows in [-2, 2] by 50 gamma cells in [0.02, 1], with every fig3b phase
+# and the two DEGENERATE cells at beta = +/-1, gamma = 0.6
+SLAB_JSON = {
+    "dimer": ({**DIMER["params"], "m": 1}, "beta:0.25:2:6", "gamma:-3:3:600",
+              "cells: 3600, degenerate: 2, phases: 3\n",
+              "c85ba609db65b454956dc44621897ea5a2d5b4ee22ddda603bfa483900ea55f1"),
+    "trimer": ({"alpha": 1.0, "beta": 1.0, "delta": 0.3, "gamma": 0.1, "v": 0.7, "m": 1},
+               "beta:-2:2:5", "gamma:0.02:1:50", "cells: 250, degenerate: 2, phases: 4\n",
+               "86d53a5b3510c9fe7566c072f61cee1451496dbe176b917ae1681e406246ad1b"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SLAB_JSON))
+def test_cli_phase_diagram_json_golden_bytes(kind, tmp_path, capsys, monkeypatch):
+    import hashlib
+    params, axis1, axis2, summary, sha = SLAB_JSON[kind]
+    doc = {"command": "phase-diagram", "format": "json",
+           "model": {"kind": kind, "params": params},
+           "options": {"axis1": axis1, "axis2": axis2, "k0": 0.7853981633974483,
+                       "samples": 512},
+           "out": "slab.json"}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["from-config", str(cfg)]) == 0
+    assert capsys.readouterr().out == summary
+    assert hashlib.sha256((tmp_path / "slab.json").read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_phase_diagram_builds_no_phase_cell(fmt, tmp_path, capsys, monkeypatch):
+    # the writers and the summary read the label table and the id grid
+    from bloch_braids import topology
+    built = []
+    init = topology.PhaseCell.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(topology.PhaseCell, "__init__", counted)
+    params, axis1, axis2, summary, _ = SLAB_JSON["trimer"]
+    doc = {"command": "phase-diagram", "format": fmt, "out": f"slab.{fmt}",
+           "model": {"kind": "trimer", "params": params},
+           "options": {"axis1": axis1, "axis2": axis2}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["from-config", str(cfg)]) == 0
+    assert capsys.readouterr().out == summary
+    assert built == []
+    pd = phase_diagram(ModelSpec.dimer(1.0, 1.5, 0.3, 0.0), ("beta", 1.4, 1.6, 2),
+                       ("gamma", -1.0, 1.0, 3), samples=128, threads=1)
+    pd.cell_at(1.5, 0.0)
+    assert len(built) == 1      # the counter sees the views' cells
+
+
+# sha256 of stdout and of every file each shipped config writes, but the two
+# phase-diagram planes (the slabs above cover their code paths)
+SHIPPED_SHA256 = {
+    "fig1c1": ("64b28e16d70637984cdd63c0b4e2c6be1ec77d4f1d1626115dddbfbf0dd2ce54",
+               {"fig1c1_bands.csv":
+                    "6fbfbb854464c7e76b5b9cdb4fc3dec2acf0c089b3debd13b36f13afbe9191db"}),
+    "fig1c2": ("7ab03abd66ebad3ca4fe6be5e6a067297990accce01de2aa8336874844bf5a6f",
+               {"fig1c2_eps.json":
+                    "3df942bb00fd2b8e3ec6e662ec89dcac9eb73a8194e2c5a95c899e5ef958ee64"}),
+    "fig1c3": ("0eb98b7a3d69997a58b0ee6c2bde9ff7c285c6cbe55eb6e5bdc056e64206b82a",
+               {"fig1c3_bands.csv":
+                    "1fe146a7b09b9215c60e4c332a36dd3c865e3d9707ce5a128b835c46c50aadbe"}),
+    "fig1c4": ("7ab03abd66ebad3ca4fe6be5e6a067297990accce01de2aa8336874844bf5a6f",
+               {"fig1c4_eps.json":
+                    "5918ea7f7031d2747f627025cd402af3d0f7fec125336d85089b94d430cd5b3d"}),
+    "fig1c5": ("64b28e16d70637984cdd63c0b4e2c6be1ec77d4f1d1626115dddbfbf0dd2ce54",
+               {"fig1c5_bands.csv":
+                    "1fde8e7c9489284f12d0cd704f4b3ff19c82bf1a2effddb81f58fc70b57fb457"}),
+    "fig2a": ("0eb98b7a3d69997a58b0ee6c2bde9ff7c285c6cbe55eb6e5bdc056e64206b82a",
+              {"fig2a_bands.csv":
+                   "279af4e882764042d9f3df06abd61400dee750de1008bad54887c5afd8817f2c"}),
+    "fig2b": ("64b28e16d70637984cdd63c0b4e2c6be1ec77d4f1d1626115dddbfbf0dd2ce54",
+              {"fig2b_bands.csv":
+                   "a2c940f55214f47ca7942beb3ecc8639ca8cbb4a6d6bd68724f94fcd2453d209"}),
+    "fig2c": ("b7efadedd6a55331b7980eb10cff3c350c14f09d915a61aba97fecb2ebbc9ce4",
+              {"fig2c_loops.csv":
+                   "279af4e882764042d9f3df06abd61400dee750de1008bad54887c5afd8817f2c",
+               "fig2c_loops.csv.eps.json":
+                   "5ee0cba515ad812269be6d397e9c6181e2e9d567bcdd4aaa0c4b184a284bef9b"}),
+    "fig2d": ("71bc10c4377bf5e9517d81875750140aaaf347f476e9afdb314aff8503e2a686",
+              {"fig2d_loops.csv":
+                   "a2c940f55214f47ca7942beb3ecc8639ca8cbb4a6d6bd68724f94fcd2453d209",
+               "fig2d_loops.csv.eps.json":
+                   "4284fc0107aa1a082bb0ac533d6ae486eaa9720e1572a8cae6034103ca94b02d"}),
+    "fig3d": ("0eb98b7a3d69997a58b0ee6c2bde9ff7c285c6cbe55eb6e5bdc056e64206b82a",
+              {"fig3d_bands.csv":
+                   "167d8db460da6dfa9524652f36eb3c27168d3203dddbd394d0d9d134d95f6038"}),
+    "fig3e": ("64b28e16d70637984cdd63c0b4e2c6be1ec77d4f1d1626115dddbfbf0dd2ce54",
+              {"fig3e_bands.csv":
+                   "b3255fd4d525f3d630cc6cb96910a14336a9851e329a4f1cfa5a939dee476b67"}),
+    "fig3f": ("58d767555f344aec33db38adb302f8f8236372c2d55bf437f9fd7e10ffa0210b",
+              {"fig3f_bands.csv":
+                   "c670bbcc0b7235b73cb42801d34d33fa80bd7224ec71b358f418415926b71372"}),
+    "fig4a": ("5e7ace1b6a0e6aa871cabbe4baa5ddb708c13020ea2bb058c2fd32e167600441",
+              {"fig4a_braid.json":
+                   "249d9b519afc6e737043bf5503f503358e435b0e494e912d43411b2c07b01158"}),
+    "fig4b": ("0230996a2d8c7dc3948e307beeb68d8eab1254e81aed54bd60b5344fd0317baf",
+              {"fig4b_braid.json":
+                   "74f0496b326d35e0789fd62f3dd85608cf567c42263505ce0b37e217a5db4a77"}),
+    "figS1a": ("0e2dd6c5e95603842fd8236a8e50654b2d4bbcc34be960dce3e48596d6c9f035",
+               {"figS1a_braid.json":
+                    "de58c2847b311b5dee43e6e4e187634ce1f0e5f4a227058055df8b0499443c5b"}),
+    "figS1b": ("7b955efc3ed71ead82aee810def5c572ceaeee2c3f8b577b8beca7d11f4c06dd",
+               {"figS1b_braid.json":
+                    "f1c074663a87d65ecdab51e37a605b3c20239f43d6d406f7ede52dc4962f354a"}),
+    "figS1c": ("1df231ce32c29419102f9bf16a825168f17cc09ba6c073e100a882282d794df3",
+               {"figS1c_braid.json":
+                    "1e12bbf818dff56ff8a93ebbaec91115eb24d09938f25d946fde1e8c2507ca59"}),
+    "figS2a": ("2705d4382b748f561b83adb73b7f6906827622cdf0be1c43198ccd29baf7b622",
+               {"figS2a_braid.json":
+                    "a2e8f217a26385d7ce8d9b276f811caf32cf08fa9df2537a9824eabd8dbe8b29"}),
+    "figS2b": ("028975a114f31e761d633ddad4b5db5ffdbbf7216ee6f3024de4a5f3366b27bf",
+               {"figS2b_braid.json":
+                    "8606dcc749d2ca8c05a98d490754c4b80e5324915f97f99205cdd687b9e4a2c1"}),
+    "figS2c": ("823283b59fc56efda9db69cf5b881f8ac46a704c4d8beb0e792f72e5f9de37ac",
+               {"figS2c_braid.json":
+                    "73038a610ca38f7e4e734d9c4d146ab5f335ce491e274a64cb6b7be0ba0e2101"}),
+}
+
+
+def test_shipped_digests_cover_every_small_config():
+    assert sorted(SHIPPED_SHA256) == sorted(p.stem for p in FIGS
+                                            if p.stem not in ("fig1b", "fig3b"))
+
+
+@pytest.mark.parametrize("stem", sorted(SHIPPED_SHA256))
+def test_shipped_config_golden_bytes(stem, tmp_path, capsys, monkeypatch):
+    import hashlib
+    stdout_sha, file_shas = SHIPPED_SHA256[stem]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    config = Path(__file__).resolve().parent.parent / "configs" / f"{stem}.json"
+    assert main(["from-config", str(config)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in work.iterdir()} == file_shas

@@ -702,6 +702,53 @@ def test_phase_diagram_rejects_unknown_axis(fig1_dimer):
         phase_diagram(fig1_dimer(1.0), ("gamma", -1.0, 1.0, 3), ("gamma", -2.0, 2.0, 4))
 
 
+def _reference_segments(pd):
+    """Boundary midpoints by a brute-force scan of ``pd.cells``: each cell against
+    the one below it, then the one to its right, comparing ``PhaseCell.label``."""
+    segs = []
+    n1, n2 = len(pd.cells), len(pd.cells[0])
+    for i in range(n1):
+        for j in range(n2):
+            a = pd.cells[i][j]
+            for ii, jj in ((i + 1, j), (i, j + 1)):
+                if ii < n1 and jj < n2 and a.label != pd.cells[ii][jj].label:
+                    b = pd.cells[ii][jj]
+                    segs.append({"point": (0.5 * (a.value1 + b.value1),
+                                           0.5 * (a.value2 + b.value2)),
+                                 "labels": sorted([a.word, b.word])})
+    return segs
+
+
+# fig3b and fig1b slabs, each with its phases and two DEGENERATE cells
+VIEW_PLANES = {
+    "trimer": (ModelSpec.trimer(1.0, 1.0, 0.3, 0.1, 0.7), ("beta", -2.0, 2.0, 5),
+               ("gamma", 0.02, 1.0, 50), 5),
+    "dimer": (ModelSpec.dimer(1.0, 1.5, 0.3, 1.0), ("beta", 0.25, 2.0, 6),
+              ("gamma", -3.0, 3.0, 600), 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VIEW_PLANES))
+def test_phase_diagram_views_agree_with_a_reference_scan(kind):
+    template, axis1, axis2, phases = VIEW_PLANES[kind]
+    pd = phase_diagram(template, axis1, axis2, threads=1)
+    other = phase_diagram(template, axis1, axis2, threads=2)
+    assert other.labels == pd.labels and np.array_equal(other.ids, pd.ids)
+    assert pd.ids.dtype == np.intp and pd.ids.shape == (axis1[3], axis2[3])
+    # each label once, each used, DEGENERATE as one entry, first appearance first
+    assert len(set(pd.labels)) == len(pd.labels) == phases + 1
+    assert ("DEGENERATE", None, None) in pd.labels
+    first = np.unique(pd.ids.ravel(), return_index=True)[1]
+    assert first.tolist() == sorted(first.tolist())
+    cells = pd.cells
+    assert pd.cells is cells
+    assert len({c.label for row in cells for c in row}) == len(pd.labels)
+    assert pd.boundary_segments() == _reference_segments(pd)
+    degenerate = [c for row in cells for c in row if c.degenerate]
+    assert len(degenerate) == 2 and pd.degenerate_cells() == degenerate
+    assert all(pd.cell_at(c.value1, c.value2) == c for row in cells for c in row)
+
+
 ROWS = [pytest.param(("dimer", m), id=str(m)) for m in (1, 2, 3)] + [
     pytest.param(("trimer", beta), id=f"trimer{beta}") for beta in (-1.2, 1.2)]
 
