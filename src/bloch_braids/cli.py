@@ -23,6 +23,7 @@ variable BLOCH_BRAIDS_THREADS caps sweep parallelism (0 or unset = automatic).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -258,7 +259,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(
         prog="bloch-braids",
         description="Braiding of complex Bloch bands in 1D gain-loss lattices.")

@@ -11,12 +11,22 @@ lossless for downstream plotting. Formats:
 * phase diagrams, CSV: ``param1,param2,word,nu,degenerate`` (one row per
   cell, row-major); JSON adds the boundary polylines;
 * exceptional points, JSON: location, space tag, energy, band pair, model.
+
+JSON text comes from ``dumps_json``, whose bytes equal the standard library's
+``json.dumps(doc, indent=2, sort_keys=True) + "\n"``. It formats a list of
+floats, or of equally long float lists, in one pass over its values instead
+of one generator step per value, and it raises ``TypeError`` for anything it
+cannot write as the standard library would (a key that is not a string, a
+value that is not a JSON type).
 """
 
 from __future__ import annotations
 
-import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _string
 from typing import Iterable
+
+import numpy as np
 
 from .spectrum import BandTrajectory
 from .topology import DEGENERATE, ExceptionalPoint, PhaseDiagram
@@ -49,15 +59,12 @@ def write_text(path, text: str) -> None:
 def trajectory_to_csv(traj: BandTrajectory) -> str:
     n = traj.n_bands
     header = "k," + ",".join(f"re_E{i + 1},im_E{i + 1}" for i in range(n))
-    lines = [header]
-    for j, t in enumerate(traj.t_grid):
-        cells = [fmt(t)]
-        for i in range(n):
-            e = traj.bands[i, j]
-            cells.append(fmt(e.real))
-            cells.append(fmt(e.imag))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    table = np.empty((len(traj.t_grid), 1 + 2 * n))
+    table[:, 0] = traj.t_grid
+    table[:, 1::2] = traj.bands.real.T
+    table[:, 2::2] = traj.bands.imag.T
+    row = ",".join(["%r"] * (1 + 2 * n))       # %r of a float is fmt's repr
+    return header + "\n" + "\n".join(map(row.__mod__, map(tuple, table.tolist()))) + "\n"
 
 
 def trajectory_to_json_dict(traj: BandTrajectory) -> dict:
@@ -66,8 +73,8 @@ def trajectory_to_json_dict(traj: BandTrajectory) -> dict:
         "radius": traj.radius,
         "k0": traj.k0,
         "samples": traj.samples,
-        "k_grid": [float(t) for t in traj.t_grid],
-        "bands": [[_pair(e) for e in band] for band in traj.bands],
+        "k_grid": traj.t_grid.tolist(),
+        "bands": np.stack([traj.bands.real, traj.bands.imag], -1).tolist(),
         "closure_permutation": list(traj.closure.image),
         "closure_cycles": traj.closure.cycle_str(),
         "band_mapping": traj.closure.band_mapping_str(),
@@ -122,5 +129,69 @@ def eps_to_json_dict(eps: Iterable[ExceptionalPoint]) -> dict:
 
 
 def dumps_json(doc: dict) -> str:
-    """Deterministic JSON text (sorted keys, two-space indent)."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text (sorted keys, two-space indent), byte for byte
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``."""
+    return _encode(doc, "\n") + "\n"
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(o, indent: str) -> str:
+    """JSON text of ``o`` at ``indent``, the newline and spaces of its nesting level.
+
+    The checks run in the standard library's order, so bools are not ints and
+    float subclasses such as np.float64 are written by ``float.__repr__``."""
+    if isinstance(o, str):
+        return _string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NONFINITE.get(text, text)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        body = _scalars(o, sep) or _float_rows(o, sep, inner)
+        if body is None:
+            body = sep.join([_encode(v, inner) for v in o])
+        return "[" + inner + body + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        # a key that is not a str fails in sorted() or in _string with TypeError
+        return "{" + inner + sep.join([_string(k) + ": " + _encode(o[k], inner)
+                                       for k in sorted(o)]) + indent + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _scalars(seq, sep: str) -> str | None:
+    """The items of a list of exact floats or of exact ints, or None."""
+    kinds = set(map(type, seq))
+    if kinds == {float}:
+        text = sep.join(map(float.__repr__, seq))
+        return None if "n" in text else text        # nan, inf: left to _encode
+    if kinds == {int}:
+        return sep.join(map(int.__repr__, seq))
+    return None
+
+
+def _float_rows(seq, sep: str, inner: str) -> str | None:
+    """The items of a list of equally long lists of exact floats, or None."""
+    if not set(map(type, seq)) <= {list, tuple}:
+        return None
+    lengths = set(map(len, seq))
+    if len(lengths) != 1 or set(map(type, chain.from_iterable(seq))) != {float}:
+        return None
+    deeper = inner + "  "
+    row = "[" + deeper + ("," + deeper).join(["%r"] * lengths.pop()) + inner + "]"
+    text = sep.join(map(row.__mod__, map(tuple, seq)))
+    return None if "n" in text else text

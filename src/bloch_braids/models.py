@@ -262,19 +262,32 @@ class ModelSpec:
             return ModelSpec(kind, cls(**{f.name: float(params.get(f.name, f.default))
                                           for f in fields(cls)}))
         if kind == "generic":
-            if "terms" not in params:
+            extra = set(params) - {"terms", "dimension"}
+            if extra:
+                raise ValueError(f"unknown generic parameters {sorted(extra)} "
+                                 f"(a generic model has terms and dimension)")
+            if not isinstance(params.get("terms"), list):
                 raise ValueError("generic model needs 'terms', a list of {'n', 'matrix'} objects")
             terms = []
             for i, t in enumerate(params["terms"]):
+                if not isinstance(t, dict):
+                    raise ValueError(f"generic model term {i} must be an object, got {t!r}")
+                extra = set(t) - {"n", "matrix"}
+                if extra:
+                    raise ValueError(f"unknown keys {sorted(extra)} in generic model term {i} "
+                                     f"(a term has n and matrix)")
                 for key in ("n", "matrix"):
                     if key not in t:
                         raise ValueError(f"generic model term {i} needs {key!r}")
+                if isinstance(t["n"], bool) or not isinstance(t["n"], int):
+                    raise ValueError(f"generic model term {i} 'n' must be an integer, "
+                                     f"got {t['n']!r}")
                 try:
                     mat = np.array([[complex(re, im) for re, im in row] for row in t["matrix"]])
                 except (TypeError, ValueError):
                     raise ValueError(f"generic model term {i} 'matrix' must be rows of [re, im] "
                                      f"pairs, got {t['matrix']!r}") from None
-                terms.append((int(t["n"]), mat))
+                terms.append((t["n"], mat))
             dimension = params.get("dimension")
             if dimension is not None and (isinstance(dimension, bool)
                                           or not isinstance(dimension, int)):

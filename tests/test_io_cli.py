@@ -76,6 +76,131 @@ def test_eps_json():
     assert abs(ep["location"][0] - np.pi) < 1e-6
 
 
+def _stdlib_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+HOSTILE_JSON = {
+    "non-finite": [float("nan"), float("inf"), -float("inf"), 1.5],
+    "non-finite-rows": [[0.5, float("nan")], [float("-inf"), 2.0]],
+    "tiny-huge-negzero": [-0.0, 5e-324, 1e300, -1e-300, 0.1, 1e16, 123456789.0],
+    "float64": [np.float64(0.1), np.float64(-0.0), 0.5, np.float64("nan")],
+    "float64-rows": [[np.float64(1.0), 2.0], [3.0, np.float64(4.0)]],
+    "bool-in-floats": [1.0, True, 0.5, False],
+    "bools-only": [True, False],
+    "int-and-float": [1, 2.0, -3, 4.5],
+    "ints": [0, -1, 2 ** 70, 3],
+    "unequal-rows": [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]],
+    "rows-with-empty": [[], [], []],
+    "row-and-scalar": [[1.0, 2.0], 3.0],
+    "deep-rows": [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [-0.0, 8.0]]],
+    "empty": {"list": [], "dict": {}, "tuple": (), "nested": [[], {}, [[]]]},
+    "tuples": ((1.0, 2.0), (3.0, 4.0), (0.5, -0.5, 1.0)),
+    "tuple-rows": [(1.0, 2.0), [3.0, 4.0]],
+    "strings": ["plain", "caf\u00e9", "\u2603 snow", "tab\there", "nl\n", "quote\"\\",
+                "\x00\x1f\x7f", "\ud83d\ude00 astral", ""],
+    "unicode-keys": {"\u00e9": 1, "a": None, "B": True, "\n": [1.0]},
+    "top-level-float": 0.1,
+    "top-level-nan": float("nan"),
+    "top-level-string": "\u00fcber",
+    "null": None,
+    "mixed": {"z": [1.0, "x", None, [2.0, 3.0], {"k": -0.0}], "a": {"b": {"c": [0.25] * 3}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_JSON))
+def test_dumps_json_matches_stdlib_on_hostile_documents(name):
+    doc = HOSTILE_JSON[name]
+    assert bio.dumps_json(doc) == _stdlib_json(doc)
+    assert bio.dumps_json({"doc": doc, "rows": [doc, doc]}) == \
+        _stdlib_json({"doc": doc, "rows": [doc, doc]})
+
+
+@pytest.mark.parametrize("doc", [{1: 2.0}, {"a": {None: 1}}, {"a": 1, 2: "b"}, {1.5: []},
+                                 [{0.5: 1.0}, {2.5: 3.0}], [np.int64(3)],
+                                 {"x": np.array([1.0])}, {"x": {1.0, 2.0}}, [1j],
+                                 [np.bool_(True)]],
+                         ids=["int-key", "none-key", "mixed-keys", "float-key", "float-key-rows",
+                              "np-int64", "ndarray", "set", "complex", "np-bool"])
+def test_dumps_json_raises_type_error_where_it_cannot_match(doc):
+    # the standard library writes the non-string keys; the writer refuses them
+    with pytest.raises(TypeError):
+        bio.dumps_json(doc)
+
+
+def test_dumps_json_matches_stdlib_on_every_cli_document(dimer_file, trimer_file, tmp_path,
+                                                        capsys, monkeypatch):
+    # each document the CLI writes, compared where it is written
+    written = []
+    dumps_json = bio.dumps_json
+
+    def checked(doc):
+        text = dumps_json(doc)
+        assert text == _stdlib_json(doc)
+        written.append(doc)
+        return text
+
+    monkeypatch.setattr(bio, "dumps_json", checked)
+    pd = ["--axis1", "beta:1.4:1.6:3", "--axis2", "gamma:-1:1:5", "--samples", "128"]
+    runs = [("bands", dimer_file, ["--format", "json"]), ("braid", trimer_file, []),
+            ("eps", dimer_file, []), ("winding", dimer_file, ["--eref", "0.5,-0.25"]),
+            ("phase-diagram", dimer_file, [*pd, "--format", "json"]),
+            ("phase-diagram", trimer_file, ["--axis1", "beta:-2:2:3", "--axis2",
+                                            "gamma:0.02:1:4", "--format", "json"]),
+            ("riemann", dimer_file, ["--format", "json"]), ("riemann", dimer_file, [])]
+    for i, (command, model, args) in enumerate(runs):
+        assert main([command, "--model", model, *args, "--out", str(tmp_path / f"out{i}"),
+                     "--dump-config", str(tmp_path / f"config{i}.json")]) == 0
+    eps_model = tmp_path / "eps_model.json"
+    eps_model.write_text(json.dumps({**DIMER, "params": {**DIMER["params"], "gamma": 0.5}}))
+    assert main(["eps", "--model", str(eps_model), "--out", str(tmp_path / "eps.json")]) == 0
+    capsys.readouterr()
+    # each run's config and one JSON output (for the CSV riemann run, its .eps.json), and eps
+    assert len(written) == 2 * len(runs) + 1
+    assert json.loads((tmp_path / "eps.json").read_text())["count"] == 1
+
+
+def _csv_reference(traj) -> str:
+    """trajectory_to_csv written one value at a time."""
+    lines = ["k," + ",".join(f"re_E{i + 1},im_E{i + 1}" for i in range(traj.n_bands))]
+    for j, t in enumerate(traj.t_grid):
+        cells = [repr(float(t))]
+        for i in range(traj.n_bands):
+            cells += [repr(float(traj.bands[i, j].real)), repr(float(traj.bands[i, j].imag))]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_matches_the_per_value_writer(fig3_trimer):
+    from dataclasses import replace
+
+    from bloch_braids import riemann_loop
+    refined = track_bands(fig3_trimer(-1.2, 0.5176), np.pi / 4)     # near the fig4a boundary
+    assert refined.samples > 512
+    dimer = track_bands(ModelSpec.from_json_dict(DIMER), 0.3, samples=128)
+    bands = dimer.bands.copy()
+    bands[0, ::3] = complex(-0.0, 1.0)
+    bands[1, ::4] = complex(0.5, -0.0)
+    signed_zero = replace(dimer, bands=bands, t_grid=-0.0 * dimer.t_grid)
+    for traj in (dimer, track_bands(ModelSpec.from_json_dict(TRIMER), 0.0, samples=64),
+                 riemann_loop(ModelSpec.from_json_dict(DIMER), 0.8, 64, 0.1), refined,
+                 signed_zero):
+        assert bio.trajectory_to_csv(traj) == _csv_reference(traj)
+    assert "-0.0,1.0" in bio.trajectory_to_csv(signed_zero)
+    assert ",0.5,-0.0" in bio.trajectory_to_csv(signed_zero)
+
+
+def test_trajectory_json_matches_the_per_value_dict(fig3_trimer):
+    from bloch_braids import riemann_loop
+    for traj in (track_bands(ModelSpec.from_json_dict(TRIMER), 0.0, samples=64),
+                 riemann_loop(ModelSpec.from_json_dict(DIMER), 0.8, 64, 0.1)):
+        doc = bio.trajectory_to_json_dict(traj)
+        assert doc["k_grid"] == [float(t) for t in traj.t_grid]
+        assert doc["bands"] == [[[float(e.real), float(e.imag)] for e in band]
+                                for band in traj.bands]
+        assert {type(x) for band in doc["bands"] for pair in band for x in pair} == {float}
+
+
 # -- RunConfig ------------------------------------------------------------------
 
 def test_runconfig_roundtrip():
@@ -210,6 +335,42 @@ def test_cli_usage_exit_codes(args, code, dimer_file, capsys):
     assert ("usage:" in capsys.readouterr().err) == (code == 1)
 
 
+def test_cli_reuses_one_parser(dimer_file, tmp_path, capsys):
+    from bloch_braids.cli import build_parser
+    assert build_parser() is build_parser()
+    dumped = tmp_path / "bands.json"
+    assert main(["bands", "--model", dimer_file, "--k0", "0.5", "--samples", "128",
+                 "--format", "json", "--out", str(tmp_path / "a"),
+                 "--dump-config", str(dumped)]) == 0
+    assert json.loads(dumped.read_text())["options"] == {"k0": 0.5, "samples": 128}
+    # a second run in the process sees its own options and defaults only
+    for args, options, fmt in (
+            (["winding", "--eref", "0.25"], {"eref_real": 0.25, "eref_imag": 0.0,
+                                             "samples": 1024}, "json"),
+            (["bands"], {"k0": 0.0, "samples": 512}, "csv"),
+            (["riemann", "--theta0", "0.1"], {"r": 1.0, "theta0": 0.1, "samples": 512}, "csv")):
+        assert main([args[0], "--model", dimer_file, *args[1:], "--dump-config",
+                     str(dumped)]) == 0
+        doc = json.loads(dumped.read_text())
+        assert (doc["command"], doc["options"], doc["out"], doc["format"]) == \
+            (args[0], options, None, fmt)
+    capsys.readouterr()
+    # a usage error after good runs: exit 1 and the text of a parser built afresh
+    with pytest.raises(SystemExit) as exc:
+        main(["bands", "--samples", "64"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        build_parser.__wrapped__().parse_args(["bands", "--samples", "64"])
+    assert capsys.readouterr().err == err
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: bloch-braids bands ")
+    assert sum(line.startswith("usage:") for line in lines) == 1
+    assert lines[-1] == "bloch-braids bands: error: the following arguments are required: --model"
+    assert main(["eps", "--model", dimer_file]) == 0
+    assert capsys.readouterr() == ("eps: 0\n", "")
+
+
 def test_cli_eps_on_a_model_degenerate_everywhere_exits_2(tmp_path, capsys):
     # it printed "eps: 0" and exited 0
     model = tmp_path / "zero.json"
@@ -312,6 +473,21 @@ def test_cli_rejects_negative_thread_count(tmp_path, capsys, monkeypatch):
 FIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("fig*.json"))
 
 
+def _generic_eps(n=1, term=None, **extra):
+    """An eps config on a Hermitian generic dimer (alpha = 1, beta = 1.5), which exits 0;
+    ``n`` sets the second term's n, ``term`` adds keys to it (an object) or is appended
+    as a fourth term, and ``extra`` adds keys to the params."""
+    hop = {"n": n, "matrix": [[[0, 0], [0, 0]], [[1.5, 0], [0, 0]]]}
+    terms = [{"n": 0, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}, hop,
+             {"n": -1, "matrix": [[[0, 0], [1.5, 0]], [[0, 0], [0, 0]]]}]
+    if isinstance(term, dict):
+        hop.update(term)
+    elif term is not None:
+        terms.append(term)
+    return {"command": "eps", "out": "eps.json", "model": {
+        "kind": "generic", "params": {"dimension": 2, "terms": terms, **extra}}}
+
+
 def _bad_configs():
     """Each shipped config with one option replaced by a value of the wrong JSON type,
     and the shape errors of config and model documents, with a fragment of the error."""
@@ -334,6 +510,7 @@ def _bad_configs():
     eps = {"command": "eps", "model": DIMER, "out": "eps.json"}
     params = DIMER["params"]
     unit = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]     # a 2x2 matrix of [re, im] pairs
+
     for name, doc, needle in [
             ("config-list", [bands], "config must be a JSON object"),
             ("options-list", {**bands, "options": [["k0", 1.0]]}, "options must be a JSON object"),
@@ -373,7 +550,21 @@ def _bad_configs():
                                              "params": {**params, "delta": None}}},
              "dimer parameter delta must be a number, got None"),
             ("dimer-v", {**eps, "model": {"kind": "dimer", "params": {**params, "v": 0.7}}},
-             "unknown dimer parameters ['v']")]:
+             "unknown dimer parameters ['v']"),
+            ("generic-n-1.7", _generic_eps(n=1.7),
+             "generic model term 1 'n' must be an integer, got 1.7"),
+            ("generic-n-string", _generic_eps(n="1"),
+             "generic model term 1 'n' must be an integer, got '1'"),
+            ("generic-n-true", _generic_eps(n=True),
+             "generic model term 1 'n' must be an integer, got True"),
+            ("generic-params-extra", _generic_eps(extra=1),
+             "unknown generic parameters ['extra']"),
+            ("generic-term-extra", _generic_eps(term={"x": 1}),
+             "unknown keys ['x'] in generic model term 1"),
+            ("generic-term-list", _generic_eps(term=[]), "generic model term 3 must be an object"),
+            ("generic-terms-object", {**eps, "model": {"kind": "generic", "params": {
+                "dimension": 2, "terms": {"n": 0, "matrix": unit}}}},
+             "generic model needs 'terms', a list")]:
         cases.append(pytest.param(doc, needle, id=name))
     return cases
 
@@ -393,6 +584,15 @@ def test_cli_rejects_bad_config_at_the_boundary(doc, needle, tmp_path, capsys, m
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0], lines
     assert list(work.iterdir()) == []
+
+
+def test_cli_generic_model_of_the_bad_configs_runs(tmp_path, capsys, monkeypatch):
+    # the generic-* cases above each change one field of this document
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_generic_eps()))
+    monkeypatch.chdir(tmp_path)
+    assert main(["from-config", str(cfg)]) == 0
+    assert capsys.readouterr().out == "eps: 0\n"
 
 
 # -- golden bytes ----------------------------------------------------------------

@@ -7,13 +7,21 @@ calling one of them would silently drop its spans from the trace.
 
 import importlib
 import importlib.util
+import json
 import pkgutil
 from pathlib import Path
 
 import bloch_braids
-from bloch_braids import ModelSpec, topology
+from bloch_braids import ModelSpec, cli, io, topology
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans, spans.Tracer()
 
 
 def test_every_exported_name_resolves():
@@ -26,10 +34,7 @@ def test_every_exported_name_resolves():
 
 
 def test_span_tracer_attributes_resolve_and_are_called():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    tracer = spans.Tracer()
+    _, tracer = _tracer()
     tracer.install()        # looks up every attribute it wraps, by name
     try:
         topology.total_braid_index(ModelSpec.trimer(1.0, 0.8, 0.3, 0.2, 0.7))
@@ -44,3 +49,36 @@ def test_span_tracer_attributes_resolve_and_are_called():
             "sweep.dimer_row_classify", "braid.extract_braid_word"} <= names
     assert tracer.counts["topology.winding_samples"] == 1024
     assert tracer.counts["braid.evaluations"] > 0
+
+
+def test_span_tracer_sees_the_cli_writers_and_uninstalls(tmp_path, capsys):
+    # the CLI calls each writer as an attribute of bloch_braids.io, where the
+    # tracer wraps it; io.write_s and cli.self_s are read from these spans
+    spans, tracer = _tracer()
+    attrs = [(cli, "main")] + [(io, fn) for fn in spans.IO_FUNCS]
+    before = [getattr(owner, attr) for owner, attr in attrs]
+    model = tmp_path / "dimer.json"
+    model.write_text(json.dumps(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0).to_json_dict()))
+    tracer.install()
+    try:
+        assert all(getattr(owner, attr) is not original
+                   for (owner, attr), original in zip(attrs, before))
+        for command, *args in (["bands", "--samples", "64"],
+                               ["riemann", "--samples", "64", "--format", "json"], ["eps"],
+                               ["phase-diagram", "--axis1", "beta:1.4:1.6:2",
+                                "--axis2", "gamma:-1:1:3", "--samples", "128"]):
+            assert cli.main([command, "--model", str(model), *args,
+                             "--out", str(tmp_path / command),
+                             "--dump-config", str(tmp_path / f"{command}.json")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert all(getattr(owner, attr) is original for (owner, attr), original in zip(attrs, before))
+    seen = {span[1] for span in tracer.spans}
+    assert {"cli.main", "io.trajectory_to_csv", "io.trajectory_to_json_dict",
+            "io.eps_to_json_dict", "io.phase_diagram_to_csv", "io.dumps_json",
+            "io.write_text"} <= seen
+    metrics = tracer.metrics()
+    assert metrics["io.write_s"] > 0 and metrics["cli.self_s"] > 0
+    assert metrics["io.bytes_written"] == sum(p.stat().st_size for p in tmp_path.iterdir()
+                                              if p.name != "dimer.json")
