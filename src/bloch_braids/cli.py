@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from . import io as bio
 from .braid import cyclic_canonical, exponent_sum, extract_braid_word, word_to_text
 from .errors import NumericalFailure
-from .models import ModelSpec, _require_finite
+from .models import ModelSpec, _read_json, _require_finite
 from .spectrum import riemann_loop, track_bands
 from .topology import (DEGENERATE, dimer_ep_zplane, find_eps_k, phase_diagram,
                        total_braid_index, winding_number)
@@ -49,7 +49,8 @@ _OPTIONS = {
     "riemann": {"r": 1.0, "theta0": 0.0, "samples": 512},
 }
 _CSV_COMMANDS = ("bands", "phase-diagram", "riemann")     # the ones with --format csv|json
-_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+# the keys of a config document, read as _read_json reads a table
+_CONFIG = {"command": str, "model": dict, "options": {}, "out": str | None, "format": "csv"}
 # help texts of the subcommands, and as "command --flag" of the flags that have one
 _HELP = {
     "bands": "track complex bands over one zone period",
@@ -80,58 +81,38 @@ class RunConfig:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
-        extra = set(doc) - {"command", "model", "options", "out", "format"}
-        if extra:
-            raise ValueError(f"unknown config keys {sorted(extra)} (a config has command, "
-                             f"model, options, out and format)")
-        command = doc.get("command")
-        if command not in _OPTIONS:
-            raise ValueError(f"config command must be one of {tuple(_OPTIONS)}, got {command!r}")
-        model, options, out = doc.get("model"), doc.get("options", {}), doc.get("out")
-        if not isinstance(model, dict):
-            raise ValueError("config needs a 'model' document (a JSON object)")
-        if not isinstance(options, dict):
-            raise ValueError(f"config options must be a JSON object, got {options!r}")
-        if out is not None and not isinstance(out, str):
-            raise ValueError(f"config out must be a string or null, got {out!r}")
-        fmt = doc.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {fmt!r}")
-        return RunConfig(command, model, dict(options), out, fmt)
+        config = _read_json(doc, _CONFIG, "config")
+        if config["command"] not in _OPTIONS:
+            raise ValueError(f"config command must be one of {', '.join(_OPTIONS)}, "
+                             f"got {config['command']!r}")
+        if config["format"] not in ("csv", "json"):
+            raise ValueError(f"config format must be csv or json, got {config['format']!r}")
+        return RunConfig(**{**config, "options": dict(config["options"])})
 
     def validate(self) -> dict:
         """Check the options against the command's table; return them with the
         defaults filled in, floats as floats and axes parsed."""
-        table = _OPTIONS[self.command]
-        extra = set(self.options) - set(table)
-        if extra:
-            raise ValueError(f"unknown options for {self.command}: {sorted(extra)}")
-        resolved = {}
-        for key, default in table.items():
-            if default is None and key not in self.options:
-                raise ValueError(f"{self.command} needs --{key}")
-            value = self.options.get(key, default)
-            kind = str if default is None else type(default)
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float) if kind is float else kind):
-                raise ValueError(f"option {key} must be {_TYPE_NAMES[kind]}, got {value!r}")
-            resolved[key] = _parse_axis(value) if kind is str else kind(value)
-        _require_finite(**{key: v for key, v in resolved.items() if isinstance(v, float)})
+        what = f"{self.command} option"
+        resolved = _read_json(self.options, {key: str if default is None else default
+                                             for key, default in _OPTIONS[self.command].items()},
+                              what)
+        resolved = {key: _parse_axis(f"{what} {key}", v) if isinstance(v, str) else v
+                    for key, v in resolved.items()}
+        _require_finite(**{f"{what} {key}": v for key, v in resolved.items()
+                           if isinstance(v, float)})
         if "samples" in resolved and resolved["samples"] < 64:
-            raise ValueError("need at least 64 samples")
+            raise ValueError(f"{what} samples must be at least 64, got {resolved['samples']}")
         if "r" in resolved and resolved["r"] <= 0:
-            raise ValueError("riemann radius must be positive")
+            raise ValueError(f"{what} r must be positive, got {resolved['r']!r}")
         return resolved
 
 
-def _parse_axis(text: str) -> tuple[str, float, float, int]:
+def _parse_axis(what: str, text: str) -> tuple[str, float, float, int]:
     try:
         name, start, stop, res = text.split(":")
         return (name, float(start), float(stop), int(res))
     except ValueError:
-        raise ValueError(f"axis must be name:start:stop:resolution, got {text!r}") from None
+        raise ValueError(f"{what} must be name:start:stop:resolution, got {text!r}") from None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -167,7 +148,7 @@ def _run_braid(config: RunConfig, spec: ModelSpec, opt: dict) -> str:
 
 def _run_eps(config: RunConfig, spec: ModelSpec, opt: dict) -> str:
     eps = find_eps_k(spec)
-    _write(config.out, bio.dumps_json(bio.eps_to_json_dict(eps)))
+    _write(config.out, bio.dumps_json(bio.eps_to_json_dict(spec, eps)))
     ks = ", ".join(f"{ep.k:.6f}" for ep in eps)
     return f"eps: {len(eps)}" + (f" at k = {ks}" if eps else "")
 
@@ -227,7 +208,7 @@ def run(config: RunConfig) -> int:
     try:
         spec = ModelSpec.from_json_dict(config.model)
         opt = config.validate()
-    except (ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

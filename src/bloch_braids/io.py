@@ -28,6 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .models import ModelSpec
 from .spectrum import BandTrajectory
 from .topology import DEGENERATE, ExceptionalPoint, PhaseDiagram
 
@@ -113,11 +114,12 @@ def phase_diagram_to_json_dict(diagram: PhaseDiagram) -> dict:
     }
 
 
-def eps_to_json_dict(eps: Iterable[ExceptionalPoint]) -> dict:
+def eps_to_json_dict(spec: ModelSpec, eps: Iterable[ExceptionalPoint]) -> dict:
+    """The exceptional points found on ``spec``, with the model searched, also when none was."""
     eps = list(eps)
     return {
         "count": len(eps),
-        "model": eps[0].model.to_json_dict() if eps else None,
+        "model": spec.to_json_dict(),
         "exceptional_points": [
             {"space": ep.space,
              "location": _pair(ep.location),

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
-from types import SimpleNamespace
-from typing import Sequence
+from dataclasses import MISSING, dataclass, fields, replace
+from types import SimpleNamespace, UnionType
+from typing import Sequence, get_args
 
 import numpy as np
 
@@ -68,6 +68,51 @@ def _require_finite(**fields: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_params(p) -> None:
+    """``__post_init__`` of the dimer and trimer parameters: finite numbers and
+    a positive integral neighbour order ``m``, stored as an int."""
+    _require_finite(**{name: value for name, value in vars(p).items() if name != "m"})
+    if not (float(p.m).is_integer() and p.m >= 1):
+        raise ValueError(f"neighbour order m must be a positive integer, got {p.m}")
+    object.__setattr__(p, "m", int(p.m))
+
+
+_JSON_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list",
+               dict: "a JSON object", type(None): "null"}
+
+
+def _read_json(doc, table: dict, what: str) -> dict:
+    """The values of the JSON object ``doc``, checked against ``table``, defaults filled in.
+
+    ``table`` maps each key to its default, whose type is the key's type; to
+    a type (``float``, ``int``, ``str``, ``list``, ``dict``) for a key the
+    object must have; or to ``T | None`` for a key that may be left out or
+    null (it reads None then). ``float`` is any JSON number, returned as a
+    float, and ``int`` a JSON integer; a bool is neither. The checks run in
+    this order, each raising ``ValueError`` that names ``what`` and the key:
+    ``doc`` is an object, it has no unknown keys, no required key is missing,
+    and each value has its key's type.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    extra = sorted(set(doc) - set(table))
+    if extra:
+        raise ValueError(f"unknown {what} keys {extra} (expected {', '.join(table)})")
+    for key, default in table.items():
+        if isinstance(default, type) and key not in doc:
+            raise ValueError(f"{what} {key} is missing")
+    values = {}
+    for key, default in table.items():
+        kind = default if isinstance(default, (type, UnionType)) else type(default)
+        value = doc.get(key, None if isinstance(default, UnionType) else default)
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float
+                                                     else kind):
+            names = " or ".join(_JSON_NAMES[t] for t in get_args(kind) or (kind,))
+            raise ValueError(f"{what} {key} must be {names}, got {value!r}")
+        values[key] = float(value) if kind is float else value
+    return values
+
+
 @dataclass(frozen=True)
 class DimerParams:
     """Parameters of the two-band gain-loss dimer chain."""
@@ -78,12 +123,7 @@ class DimerParams:
     gamma: float
     m: int = 1
 
-    def __post_init__(self):
-        _require_finite(alpha=self.alpha, beta=self.beta,
-                        delta=self.delta, gamma=self.gamma)
-        if not (float(self.m).is_integer() and self.m >= 1):
-            raise ValueError(f"neighbour order m must be a positive integer, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
+    __post_init__ = _check_params
 
 
 @dataclass(frozen=True)
@@ -97,12 +137,7 @@ class TrimerParams:
     v: float
     m: int = 1
 
-    def __post_init__(self):
-        _require_finite(alpha=self.alpha, beta=self.beta, delta=self.delta,
-                        gamma=self.gamma, v=self.v)
-        if not (float(self.m).is_integer() and self.m >= 1):
-            raise ValueError(f"neighbour order m must be a positive integer, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
+    __post_init__ = _check_params
 
 
 @dataclass(frozen=True)
@@ -239,61 +274,34 @@ class ModelSpec:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ModelSpec":
-        try:
-            kind = doc["kind"]
-            params = doc["params"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"model document must have 'kind' and 'params': {exc}") from exc
-        if not isinstance(params, dict):
-            raise ValueError(f"model params must be a JSON object, got {params!r}")
+        """The model of a JSON model document, every object read by :func:`_read_json`."""
+        doc = _read_json(doc, _MODEL_TABLE, "model")
+        kind = doc["kind"]
         if kind in ("dimer", "trimer"):
             cls = DimerParams if kind == "dimer" else TrimerParams
-            names = [f.name for f in fields(cls)]
-            extra = set(params) - set(names)
-            if extra:
-                raise ValueError(f"unknown {kind} parameters {sorted(extra)} "
-                                 f"(a {kind} has {', '.join(names)})")
-            for f in fields(cls):
-                if f.name not in params and f.default is MISSING:
-                    raise ValueError(f"{kind} model needs parameter {f.name!r}")
-                value = params.get(f.name, f.default)
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"{kind} parameter {f.name} must be a number, got {value!r}")
-            return ModelSpec(kind, cls(**{f.name: float(params.get(f.name, f.default))
-                                          for f in fields(cls)}))
+            table = {f.name: float if f.default is MISSING else float(f.default)
+                     for f in fields(cls)}
+            return ModelSpec(kind, cls(**_read_json(doc["params"], table, f"{kind} parameter")))
         if kind == "generic":
-            extra = set(params) - {"terms", "dimension"}
-            if extra:
-                raise ValueError(f"unknown generic parameters {sorted(extra)} "
-                                 f"(a generic model has terms and dimension)")
-            if not isinstance(params.get("terms"), list):
-                raise ValueError("generic model needs 'terms', a list of {'n', 'matrix'} objects")
+            params = _read_json(doc["params"], _GENERIC_TABLE, "generic parameter")
             terms = []
-            for i, t in enumerate(params["terms"]):
-                if not isinstance(t, dict):
-                    raise ValueError(f"generic model term {i} must be an object, got {t!r}")
-                extra = set(t) - {"n", "matrix"}
-                if extra:
-                    raise ValueError(f"unknown keys {sorted(extra)} in generic model term {i} "
-                                     f"(a term has n and matrix)")
-                for key in ("n", "matrix"):
-                    if key not in t:
-                        raise ValueError(f"generic model term {i} needs {key!r}")
-                if isinstance(t["n"], bool) or not isinstance(t["n"], int):
-                    raise ValueError(f"generic model term {i} 'n' must be an integer, "
-                                     f"got {t['n']!r}")
+            for i, term in enumerate(params["terms"]):
+                term = _read_json(term, _TERM_TABLE, f"generic model term {i}")
                 try:
-                    mat = np.array([[complex(re, im) for re, im in row] for row in t["matrix"]])
+                    mat = np.array([[complex(re, im) for re, im in row] for row in term["matrix"]])
                 except (TypeError, ValueError):
                     raise ValueError(f"generic model term {i} 'matrix' must be rows of [re, im] "
-                                     f"pairs, got {t['matrix']!r}") from None
-                terms.append((t["n"], mat))
-            dimension = params.get("dimension")
-            if dimension is not None and (isinstance(dimension, bool)
-                                          or not isinstance(dimension, int)):
-                raise ValueError(f"generic model dimension must be an integer, got {dimension!r}")
-            return ModelSpec.generic(terms, dimension)
-        raise ValueError(f"unknown model kind {kind!r}")
+                                     f"pairs, got {term['matrix']!r}") from None
+                terms.append((term["n"], mat))
+            return ModelSpec.generic(terms, params["dimension"])
+        raise ValueError(f"model kind must be one of {', '.join(ModelSpec._KINDS)}, got {kind!r}")
+
+
+# the JSON objects of a model document other than the dimer and trimer
+# parameters, whose table is the fields of their dataclass
+_MODEL_TABLE = {"kind": str, "params": dict}
+_GENERIC_TABLE = {"terms": list, "dimension": int | None}
+_TERM_TABLE = {"n": int, "matrix": list}
 
 
 def model_to_json(spec: ModelSpec) -> str:

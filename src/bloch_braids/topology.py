@@ -42,8 +42,8 @@ from .braid import (BraidWord, Permutation, _ranks, cyclic_canonical, exponent_s
 from .errors import DegenerateModel, NonConvergent, UnsupportedDegree
 from .models import (DimerParams, ModelSpec, _char_coeffs, _disc, _entries, bloch_matrix,
                      bloch_matrix_z)
-from .spectrum import (_WIND_RESIDUAL, _WIND_STEP, _det_grid, _eig_grid, _pair_gaps, _roots,
-                       _wind, _winding, eigenvalues, track_bands)
+from .spectrum import (TRACK_SAMPLES_DEFAULT, _WIND_RESIDUAL, _WIND_STEP, _det_grid, _eig_grid,
+                       _pair_gaps, _roots, _wind, _winding, eigenvalues, track_bands)
 
 __all__ = [
     "discriminant",
@@ -178,12 +178,15 @@ def _coalescing_pair(ev) -> tuple[complex, tuple[int, int]]:
     return 0.5 * (ev[i] + ev[j]), (i + 1, j + 1)
 
 
-def find_eps_k(spec: ModelSpec, accept_tol: float = 1e-10) -> list[ExceptionalPoint]:
+_EP_ACCEPT_TOL = 1e-10     # normalized |discriminant| below which a zero's k is an EP
+
+
+def find_eps_k(spec: ModelSpec) -> list[ExceptionalPoint]:
     """Locate momentum-space exceptional points of a 2- or 3-band model.
 
     Every zero z of the Laurent discriminant (:func:`_disc_zeros`) whose
     momentum k = arg z, in [0, 2pi), has a normalized |discriminant| below
-    ``accept_tol`` is an EP. Zeros closer than dk = 1e-6 are merged (a
+    1e-10 is an EP. Zeros closer than dk = 1e-6 are merged (a
     double zero splits under rounding, and a zero off the circle can share
     the argument of one on it); the zero nearest |z| = 1 gives the k. An
     empty list means no EP at these parameters; :class:`DegenerateModel`
@@ -197,7 +200,7 @@ def find_eps_k(spec: ModelSpec, accept_tol: float = 1e-10) -> list[ExceptionalPo
         # a zero on the positive real axis can come out at an angle of
         # -1e-16, which the modulus maps to (or just below) 2pi
         k = 0.0 if _TWO_PI - k < 1e-12 else k
-        if _normalized_disc(spec, k) >= accept_tol:
+        if _normalized_disc(spec, k) >= _EP_ACCEPT_TOL:
             continue
         if any(abs(k - ep.k) < 1e-6 or abs(abs(k - ep.k) - _TWO_PI) < 1e-6 for ep in found):
             continue
@@ -538,9 +541,8 @@ def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int) -> tu
     if len(rest):
         row_classify = {"dimer": sweep.dimer_row_classify,
                         "trimer": sweep.trimer_row_classify}[spec.kind]
-        fields = {f: getattr(spec.params, f) for f in spec.params.__dataclass_fields__}
-        fields[name] = values[rest]
-        for i, res in zip(rest.tolist(), row_classify(**fields, k0=k0, samples=samples)):
+        for i, res in zip(rest.tolist(), row_classify(spec, name, values[rest], k0=k0,
+                                                      samples=samples)):
             labels[i] = (res if isinstance(res, Exception) else
                          (word_to_text(cyclic_canonical(res[0])), exponent_sum(res[0]), res[1]))
     _LOG.debug("%s row over %s: %d cells, %d certified, %d tracked", spec.kind, name,
@@ -609,31 +611,31 @@ def _polish(spec: ModelSpec, g_lo: float, g_hi: float) -> tuple[float, float]:
                         f"{max(g_lo, g_hi)}]: Newton ended at gamma = {g}, k = {k}")
 
 
-def gamma_axis_references(spec: ModelSpec, *, k0: float = np.pi / 4,
-                          samples: int = 512, coarse_steps: int = 16,
-                          gamma_resolution: float = 1e-5
+_GAMMA_RESOLUTION = 1e-5    # the width to which a gamma-axis boundary is bisected
+
+
+def gamma_axis_references(spec: ModelSpec, *, k0: float = np.pi / 4, coarse_steps: int = 16
                           ) -> list[tuple[float, complex, tuple[int, int]]]:
     """Phase boundaries on the gamma axis between this point and gamma ~ 0.
 
     Holding every other parameter fixed, the discriminant count
     (:func:`_disc_count`, the winding of the discriminant over the zone) is
     evaluated on a coarse gamma grid from just above zero up to the model's
-    gamma, and each change is bisected to ``gamma_resolution``. Newton on
+    gamma, and each change is bisected to 1e-5. Newton on
     Disc(e^{ik}; gamma) = 0 then places each boundary on its exceptional
     point (k*, gamma*), inside its bracket; the coalescing band pair there
     and its double-root energy are recorded. As a cross-check the coarse grid is also labelled by
-    braid word, as one row tracked at ``samples`` from ``k0``; where two
+    braid word, as one row tracked at 512 samples from ``k0``; where two
     settled neighbours differ in label but not in count, that interval is
     bisected by label instead, with a warning. Returns (gamma*, energy, band
     pair) triples in order of increasing |gamma*|; raises
     :class:`NonConvergent` when a boundary cannot be polished, and
-    ``ValueError`` unless ``coarse_steps >= 1`` and ``gamma_resolution > 0``.
+    ``ValueError`` unless ``coarse_steps >= 1``.
     """
     if spec.kind == "generic":
         raise ValueError("gamma-axis scan needs a named gamma parameter")
-    if not (coarse_steps >= 1 and gamma_resolution > 0):
-        raise ValueError(f"need coarse_steps >= 1 and gamma_resolution > 0, "
-                         f"got {coarse_steps} and {gamma_resolution}")
+    if not coarse_steps >= 1:
+        raise ValueError(f"need coarse_steps >= 1, got {coarse_steps}")
     g_target = spec.params.gamma
     if g_target == 0.0:
         return []
@@ -642,23 +644,23 @@ def gamma_axis_references(spec: ModelSpec, *, k0: float = np.pi / 4,
         return _disc_count(spec.replace_param("gamma", g))
 
     def label(g: float):
-        lab = _classify(spec, "gamma", [g], k0, samples)[0][0]
+        lab = _classify(spec, "gamma", [g], k0, TRACK_SAMPLES_DEFAULT)[0][0]
         return None if isinstance(lab, Exception) else lab
 
     gs = np.linspace(g_target * 1e-3, g_target, coarse_steps + 1).tolist()
     counts = [count(g) for g in gs]
-    labels = _classify(spec, "gamma", gs, k0, samples)[0]
+    labels = _classify(spec, "gamma", gs, k0, TRACK_SAMPLES_DEFAULT)[0]
     brackets = []
     for i in range(coarse_steps):
         lo, hi = gs[i], gs[i + 1]
         if counts[i] != counts[i + 1]:
-            brackets += _brackets(count, lo, counts[i], hi, counts[i + 1], gamma_resolution)
+            brackets += _brackets(count, lo, counts[i], hi, counts[i + 1], _GAMMA_RESOLUTION)
         elif (not isinstance(labels[i], Exception) and not isinstance(labels[i + 1], Exception)
               and labels[i] != labels[i + 1]):
             warnings.warn(f"braid label changes from {labels[i][0]!r} to {labels[i + 1][0]!r} "
                           f"between gamma = {lo} and {hi} while the discriminant count stays "
                           f"{counts[i]}; bisecting by label", RuntimeWarning, stacklevel=2)
-            brackets += _brackets(label, lo, labels[i], hi, labels[i + 1], gamma_resolution)
+            brackets += _brackets(label, lo, labels[i], hi, labels[i + 1], _GAMMA_RESOLUTION)
     boundaries = []
     for lo, hi in brackets:
         k_star, g_star = _polish(spec, lo, hi)
@@ -708,15 +710,15 @@ def reference_energies(spec: ModelSpec, *, k0: float = np.pi / 4) -> list[comple
     raise ValueError("reference energies are defined for the dimer and trimer families")
 
 
-def total_braid_index(spec: ModelSpec, *, samples: int = 1024,
-                      k0: float = np.pi / 4) -> BraidIndex:
+def total_braid_index(spec: ModelSpec, *, k0: float = np.pi / 4) -> BraidIndex:
     """Sum of spectral winding numbers over the model's EP reference energies.
 
-    References come from :func:`reference_energies`. The result equals the
-    exponent sum of the extracted braid word on every phase tested.
+    References come from :func:`reference_energies`, each wound from 1024
+    samples. The result equals the exponent sum of the extracted braid word
+    on every phase tested.
     """
     refs = reference_energies(spec, k0=k0)
-    parts = tuple(winding_number(spec, e, samples) for e in refs)
+    parts = tuple(winding_number(spec, e) for e in refs)
     return BraidIndex(sum(p.nu for p in parts), parts, tuple(refs))
 
 

@@ -68,12 +68,18 @@ def test_phase_diagram_csv_and_json():
 
 def test_eps_json():
     spec = ModelSpec.dimer(1.0, 1.5, 0.3, 0.5, 1)
-    doc = bio.eps_to_json_dict(find_eps_k(spec))
+    doc = bio.eps_to_json_dict(spec, find_eps_k(spec))
     assert doc["count"] == 1
+    assert doc["model"] == spec.to_json_dict()
     ep = doc["exceptional_points"][0]
     assert ep["space"] == "k"
     assert ep["bands"] == [1, 2]
     assert abs(ep["location"][0] - np.pi) < 1e-6
+    # a search that finds nothing still names the model it searched
+    spec = ModelSpec.dimer(1.0, 1.5, 0.3, 1.0, 1)
+    assert find_eps_k(spec) == []
+    assert bio.eps_to_json_dict(spec, []) == {"count": 0, "model": spec.to_json_dict(),
+                                              "exceptional_points": []}
 
 
 def _stdlib_json(doc) -> str:
@@ -514,13 +520,13 @@ def _bad_configs():
     for name, doc, needle in [
             ("config-list", [bands], "config must be a JSON object"),
             ("options-list", {**bands, "options": [["k0", 1.0]]}, "options must be a JSON object"),
-            ("model-string", {**bands, "model": "dimer.json"}, "'model' document"),
+            ("model-string", {**bands, "model": "dimer.json"}, "config model must be a JSON object, got 'dimer.json'"),
             ("out-int", {**bands, "command": "eps", "out": 1}, "out must be a string or null"),
             ("m-1.7", {**bands, "model": {"kind": "dimer", "params": {**params, "m": 1.7}}},
              "m must be a positive integer, got 1.7"),
             ("missing-v", {**bands, "model": {**TRIMER, "params": {"alpha": 1.0, "beta": 1.0,
                                                                    "delta": 0.3, "gamma": 0.7}}},
-             "trimer model needs parameter 'v'"),
+             "trimer parameter v is missing"),
             ("params-string", {**bands, "model": {"kind": "dimer", "params": "alpha"}},
              "params must be a JSON object"),
             ("repeated-axis", pd, "both axes sweep 'gamma'"),
@@ -528,12 +534,12 @@ def _bad_configs():
              "unknown config keys ['option']"),
             ("generic-no-terms", {**bands, "model": {"kind": "generic",
                                                     "params": {"dimension": 2}}},
-             "generic model needs 'terms'"),
+             "generic parameter terms is missing"),
             ("generic-term-no-matrix", {**bands, "model": {"kind": "generic", "params": {
-                "dimension": 2, "terms": [{"n": 0}]}}}, "generic model term 0 needs 'matrix'"),
+                "dimension": 2, "terms": [{"n": 0}]}}}, "generic model term 0 matrix is missing"),
             ("generic-term-no-n", {**bands, "model": {"kind": "generic", "params": {
                 "dimension": 2, "terms": [{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}}},
-             "generic model term 0 needs 'n'"),
+             "generic model term 0 n is missing"),
             ("generic-dimension-3", {**eps, "model": {"kind": "generic", "params": {
                 "dimension": 3, "terms": [{"n": 1, "matrix": unit}]}}},
              "has shape (2, 2), expected (3, 3)"),
@@ -550,21 +556,41 @@ def _bad_configs():
                                              "params": {**params, "delta": None}}},
              "dimer parameter delta must be a number, got None"),
             ("dimer-v", {**eps, "model": {"kind": "dimer", "params": {**params, "v": 0.7}}},
-             "unknown dimer parameters ['v']"),
+             "unknown dimer parameter keys ['v']"),
             ("generic-n-1.7", _generic_eps(n=1.7),
-             "generic model term 1 'n' must be an integer, got 1.7"),
+             "generic model term 1 n must be an integer, got 1.7"),
             ("generic-n-string", _generic_eps(n="1"),
-             "generic model term 1 'n' must be an integer, got '1'"),
+             "generic model term 1 n must be an integer, got '1'"),
             ("generic-n-true", _generic_eps(n=True),
-             "generic model term 1 'n' must be an integer, got True"),
+             "generic model term 1 n must be an integer, got True"),
             ("generic-params-extra", _generic_eps(extra=1),
-             "unknown generic parameters ['extra']"),
+             "unknown generic parameter keys ['extra']"),
             ("generic-term-extra", _generic_eps(term={"x": 1}),
-             "unknown keys ['x'] in generic model term 1"),
-            ("generic-term-list", _generic_eps(term=[]), "generic model term 3 must be an object"),
+             "unknown generic model term 1 keys ['x']"),
+            ("generic-term-list", _generic_eps(term=[]), "generic model term 3 must be a JSON object"),
             ("generic-terms-object", {**eps, "model": {"kind": "generic", "params": {
                 "dimension": 2, "terms": {"n": 0, "matrix": unit}}}},
-             "generic model needs 'terms', a list")]:
+             "generic parameter terms must be a list"),
+            ("model-no-kind", {**eps, "model": {"params": params}}, "model kind is missing"),
+            ("kind-3", {**eps, "model": {**DIMER, "kind": 3}}, "model kind must be a string, got 3"),
+            ("kind-pentamer", {**eps, "model": {**DIMER, "kind": "pentamer"}},
+             "model kind must be one of dimer, trimer, generic, got 'pentamer'"),
+            ("model-no-params", {**eps, "model": {"kind": "dimer"}}, "model params is missing"),
+            ("generic-dimension-true", _generic_eps(dimension=True),
+             "generic parameter dimension must be an integer or null, got True"),
+            ("generic-dimension-2.5", _generic_eps(dimension=2.5),
+             "generic parameter dimension must be an integer or null, got 2.5"),
+            ("format-xml", {**bands, "format": "xml"},
+             "config format must be csv or json, got 'xml'"),
+            ("command-fly", {**bands, "command": "fly"}, "config command must be one of"),
+            ("option-unknown", {**bands, "options": {"radius": 2.0}},
+             "unknown bands option keys ['radius']"),
+            ("samples-63", {**bands, "options": {"samples": 63}},
+             "bands option samples must be at least 64, got 63"),
+            ("r-0", {**bands, "command": "riemann", "options": {"r": 0}},
+             "riemann option r must be positive, got 0.0"),
+            ("axis-3-parts", {**pd, "options": {**pd["options"], "axis1": "beta:0:1"}},
+             "phase-diagram option axis1 must be name:start:stop:resolution, got 'beta:0:1'")]:
         cases.append(pytest.param(doc, needle, id=name))
     return cases
 

@@ -5,6 +5,7 @@ attributes their callers look them up by; a refactor that renames or stops
 calling one of them would silently drop its spans from the trace.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -82,3 +83,29 @@ def test_span_tracer_sees_the_cli_writers_and_uninstalls(tmp_path, capsys):
     assert metrics["io.write_s"] > 0 and metrics["cli.self_s"] > 0
     assert metrics["io.bytes_written"] == sum(p.stat().st_size for p in tmp_path.iterdir()
                                               if p.name != "dimer.json")
+
+
+def _from_json_callers(path: Path) -> set[str]:
+    """``file:function`` of each call of ``ModelSpec``/``RunConfig.from_json_dict`` in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scopes = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{f.name}", f) for f in node.body
+                       if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        else:
+            scopes.append((getattr(node, "name", "<module>"), node))
+    return {f"{path.name}:{name}" for name, scope in scopes for call in ast.walk(scope)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "from_json_dict" and isinstance(call.func.value, ast.Name)
+            and call.func.value.id in ("ModelSpec", "RunConfig")}
+
+
+def test_json_documents_are_read_in_one_place():
+    # a model or config document crosses the JSON boundary in the CLI or in
+    # models.model_from_json; inside the package a model travels as a ModelSpec,
+    # never as a dict sent back through the JSON reader
+    callers = set().union(*(_from_json_callers(path) for path in
+                            sorted(Path(bloch_braids.__file__).parent.glob("*.py"))))
+    assert "models.py:model_from_json" in callers and "cli.py:run" in callers
+    assert {c for c in callers if not c.startswith("cli.py:")} == {"models.py:model_from_json"}

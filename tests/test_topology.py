@@ -486,7 +486,8 @@ def test_disc_count_equals_exponent_sum_on_fig3b_rows(m):
     gammas = np.linspace(0.02, 1.0, 50)
     checked = 0
     for beta in (-1.2, -0.4, 0.8, 1.6):
-        results = trimer_row_classify(1.0, beta, 0.3, gammas, 0.7, m, k0=PI4)
+        results = trimer_row_classify(ModelSpec.trimer(1.0, beta, 0.3, 0.0, 0.7, m), "gamma",
+                                      gammas, k0=PI4)
         for gamma, res in zip(gammas.tolist(), results):
             if isinstance(res, Exception):
                 continue
@@ -556,13 +557,11 @@ def test_classify_keeps_the_failure():
 
 
 def test_gamma_axis_scan_rejects_empty_or_zero_steps():
-    # coarse_steps = 0 returned [] on fig4a, which has two boundaries, and
-    # gamma_resolution = 0 bisected forever
+    # coarse_steps = 0 returned [] on fig4a, which has two boundaries
     spec = TRIMER_BRAIDS["fig4a"]
-    for options in ({"coarse_steps": 0}, {"coarse_steps": -3}, {"gamma_resolution": 0.0},
-                    {"gamma_resolution": -1e-5}, {"gamma_resolution": float("nan")}):
-        with pytest.raises(ValueError, match="coarse_steps >= 1 and gamma_resolution > 0"):
-            gamma_axis_references(spec, **options)
+    for coarse_steps in (0, -3):
+        with pytest.raises(ValueError, match="coarse_steps >= 1"):
+            gamma_axis_references(spec, coarse_steps=coarse_steps)
 
 
 def test_brackets_stop_where_the_interval_stops_shrinking():
@@ -762,7 +761,7 @@ def test_row_engine_agrees_with_scalar_classifier(row, fig1_dimer, fig3_trimer):
     kind, value = row
     if kind == "dimer":
         gammas = np.linspace(-3.0, 3.0, 121)
-        results = dimer_row_classify(1.0, 1.5, 0.3, gammas, value, k0=PI4)
+        results = dimer_row_classify(fig1_dimer(0.0, m=value), "gamma", gammas, k0=PI4)
         specs = [fig1_dimer(g, m=value) for g in gammas.tolist()]
     else:
         # the fig3b rows; gamma = 0.5176 lies just above a fig4a boundary
@@ -770,7 +769,7 @@ def test_row_engine_agrees_with_scalar_classifier(row, fig1_dimer, fig3_trimer):
         gammas = np.linspace(0.02, 1.0, 50)
         if value < 0:
             gammas = np.append(gammas, 0.5176)
-        results = trimer_row_classify(1.0, value, 0.3, gammas, 0.7, 1, k0=PI4)
+        results = trimer_row_classify(fig3_trimer(value, 0.0), "gamma", gammas, k0=PI4)
         specs = [fig3_trimer(value, g) for g in gammas.tolist()]
     assert len(results) == len(specs)
     counts = {"refined": 0, "failed": 0}
@@ -819,8 +818,8 @@ def test_dimer_fast_path_agrees_with_tracker(m):
         assert not (cert & ~passed).any(), values[cert & ~passed]
         assert (nu[cert] == nu_fine[cert]).all(), values[cert & (nu != nu_fine)]
         certified, fine = certified + cert.sum(), fine + passed.sum()
-        params[name] = values
-        for value, lab, res in zip(values, labels, dimer_row_classify(**params, k0=PI4)):
+        for value, lab, res in zip(values, labels, dimer_row_classify(spec, name, values,
+                                                                      k0=PI4)):
             if isinstance(res, Exception):
                 failed += 1
                 assert type(lab) is type(res), (name, value)
