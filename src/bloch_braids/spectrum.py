@@ -307,7 +307,10 @@ class _Tracked:
     max_jump: np.ndarray    # (C,)
 
 
-_REFINE_BATCH_SAMPLES = 1 << 18   # samples of one refinement batch: 4 cells at the cap
+# Samples one tracker batch holds: 63 cells on a first grid of 513, one cell
+# at the cap. Cells of many phase-diagram rows share batches under these caps.
+_FIRST_BATCH_SAMPLES = 1 << 15
+_REFINE_BATCH_SAMPLES = 1 << 16
 
 
 def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: int = 0):
@@ -318,10 +321,17 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
     other. Each cell follows the rules of :func:`track_bands`. The cells
     that settle are yielded as :class:`_Tracked` groups, one per grid; a
     cell that fails is not, and ``failures[cell]`` holds its exception.
-    ``kept`` holds the previous level's samples.
+    ``kept`` holds the previous level's samples. A first grid is split into
+    batches of at most ``_FIRST_BATCH_SAMPLES`` samples, a refined one into
+    batches of at most ``_REFINE_BATCH_SAMPLES``.
     """
     if k < 64:
         raise ValueError(f"need at least 64 samples, got {k}")
+    if kept is None and len(cells) * (k + 1) > _FIRST_BATCH_SAMPLES:
+        batch = max(1, _FIRST_BATCH_SAMPLES // (k + 1))
+        for s in range(0, len(cells), batch):
+            yield from _track(raw_at, cells[s:s + batch], t0, k, failures, None, nudges)
+        return
     tvals = t0 + np.linspace(0.0, _TWO_PI, k + 1)
     if kept is None:
         raw = raw_at(cells[:, None], tvals).reshape(len(cells), k + 1, -1)
@@ -427,15 +437,31 @@ _WIND_STEP = np.pi / 4.0        # the largest phase step a settled winding may t
 _WIND_RESIDUAL = 1e-6           # the largest distance of a settled total from an integer
 
 
+def _phase_steps(values: np.ndarray) -> np.ndarray:
+    """Phase steps of curves sampled along the last axis, wrapped into [-pi, pi).
+
+    A step d, a difference of angles, becomes (d + pi) mod 2pi - pi. As
+    d + pi lies in [-pi, 3pi], the remainder is one masked shift by 2pi, with
+    the bits of ``np.remainder`` at half its cost: the shift down is exact
+    (Sterbenz), the shift up is the remainder's own last addition.
+    """
+    steps = np.diff(np.angle(values), axis=-1)
+    steps += np.pi
+    np.subtract(steps, _TWO_PI, out=steps, where=steps >= _TWO_PI)
+    np.add(steps, _TWO_PI, out=steps, where=steps < 0.0)
+    steps -= np.pi
+    return steps
+
+
 def _winding(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The winding rule, for closed curves sampled along the last axis.
 
     Returns ``(nu, raw, fine, integral)``: the nearest integer to the total
-    phase in turns, the total itself, whether every phase step is below
-    pi/4, and whether the total is an integer to 1e-6. Steps are differences
-    of angles, wrapped into [-pi, pi).
+    phase in turns, the total itself, whether every phase step
+    (:func:`_phase_steps`) is below pi/4, and whether the total is an
+    integer to 1e-6.
     """
-    steps = (np.diff(np.angle(values), axis=-1) + np.pi) % _TWO_PI - np.pi
+    steps = _phase_steps(values)
     raw = steps.sum(axis=-1) / _TWO_PI
     nu = np.rint(raw)
     return nu, raw, np.abs(steps).max(axis=-1) < _WIND_STEP, np.abs(raw - nu) < _WIND_RESIDUAL

@@ -1,15 +1,18 @@
-"""Phase-diagram rows: many cells through the one tracker and crossing reader.
+"""Phase-diagram cells: many cells through the one tracker and crossing reader.
 
-A row is a batch of cells of one model that differ in the value of one
-named parameter, handed on as ``(spec, name, values)``.
-:func:`bloch_braids.topology.phase_diagram` sends here every trimer
-cell and the dimer cells whose discriminant winding does not settle their
-label on the tracker's first grid; the rest of a dimer row never reaches
-this module. A row is tracked by the batched tracker behind
-:func:`bloch_braids.spectrum.track_bands` and read by the batched crossing
-reader behind :func:`bloch_braids.braid.extract_braid_word`, with the model
-kernel evaluated on (cells, samples) parameter arrays, so each cell meets
-exactly the rules of the one-cell path. A cell that fails (on an
+A batch is cells of one model that differ in the values of named
+parameters, handed on as ``(spec, cells)``, where ``cells`` maps each
+parameter name to an array of one value per cell.
+:func:`bloch_braids.topology.phase_diagram` sends here, in one call per
+block of rows, every trimer cell of the block and the dimer cells that
+neither B_2 gate settles (their discriminant winding does not fix their
+label on the tracker's first grid); the rest of a dimer row never reaches
+this module. A batch is tracked by the batched tracker behind
+:func:`bloch_braids.spectrum.track_bands`, in batches capped in samples,
+and read by the batched crossing reader behind
+:func:`bloch_braids.braid.extract_braid_word`, with the model kernel
+evaluated on (cells, samples) parameter arrays, so each cell meets exactly
+the rules of the one-cell path. A cell that fails (on an
 exceptional point, at the refinement cap, at a degenerate or an unresolved
 crossing) gets its exception as its result. :func:`dimer_winding_row` winds
 det(H) over a row of dimer cells, as an independent check, through
@@ -27,23 +30,25 @@ from .spectrum import TRACK_SAMPLES_DEFAULT, _det_grid, _eig_grid, _track, _wind
 __all__ = ["dimer_row_classify", "trimer_row_classify", "dimer_winding_row"]
 
 
-def dimer_row_classify(spec: ModelSpec, name: str, values, *, k0: float,
+def dimer_row_classify(spec: ModelSpec, cells, *, k0: float,
                        samples: int = TRACK_SAMPLES_DEFAULT) -> list:
-    """Classify the row of cells of ``spec`` that set parameter ``name`` to ``values``.
+    """Classify the cells of ``spec`` given by ``cells``, a mapping from parameter
+    names to arrays of one value per cell.
 
     The other parameters are the spec's, shared by all cells (the kernel
     evaluates them per sample, not per cell). Returns, per cell,
     ``(word, closure permutation)`` or the tracking error it failed with.
     """
-    values = np.asarray(values, dtype=float)
+    cells = {name: np.asarray(v, dtype=float) for name, v in cells.items()}
 
-    def raw_at(cells, t):
-        return _eig_grid(spec, t, None, {name: values[cells]})
+    def raw_at(at, t):
+        return _eig_grid(spec, t, None, {name: v[at] for name, v in cells.items()})
 
-    results: list = [None] * len(values)   # the tracker puts each failing cell's exception here
-    for group in _track(raw_at, np.arange(len(values)), float(k0), int(samples), results):
+    n = len(next(iter(cells.values())))
+    results: list = [None] * n   # the tracker puts each failing cell's exception here
+    for group in _track(raw_at, np.arange(n), float(k0), int(samples), results):
         words = _read_words(group.t_grid, group.bands, group.scale,
-                            lambda cells, t: raw_at(group.cells[cells], t))
+                            lambda at, t: raw_at(group.cells[at], t))
         for cell, word, image in zip(group.cells.tolist(), words, group.closure.tolist()):
             results[cell] = word if isinstance(word, Exception) else (word, Permutation(image))
     return results

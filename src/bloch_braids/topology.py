@@ -467,62 +467,60 @@ def _dimer_windings(spec: ModelSpec, name: str, values: np.ndarray, k0: float,
     over the tracker's first grid, k0 + linspace(0, 2pi, samples + 1).
     ``fast`` marks the cells where that grid guarantees what the tracker and
     reader would find there: D obeys the winding rule (every phase step
-    below pi/4, the total an integer to 1e-6); the largest step of a band,
-    bounded by max|d mean| + max|dD| / (2 cos(pi/8) sqrt(min|D|)), stays
-    below 0.45 sqrt(min|D|), half the smallest gap; that half gap exceeds
-    1e-6 of the spectral scale; and the real parts at k0 differ by more than
-    1e-6 of it. :func:`_classify` runs it on the cells that
-    :func:`_certified` leaves.
+    below pi/4, the total an integer to 1e-6); the largest step of a band
+    stays below 0.45 sqrt(min|D|), half the smallest gap; that half gap
+    exceeds 1e-6 of the spectral scale; and the real parts at k0 differ by
+    more than 1e-6 of it. On grid step j a band E = mean +/- sqrt(D) moves
+    by at most |d mean_j| + |dD_j| / (2 cos(pi/8) sqrt(min(|D_j|, |D_j+1|)))
+    (the step's two roots lie within pi/8 in angle), never more than the
+    loop-wide max|d mean| + max|dD| / (2 cos(pi/8) sqrt(min|D|)).
+    :func:`_gate` runs it on the cells that :func:`_certified` leaves.
     """
     t = k0 + np.linspace(0.0, _TWO_PI, samples + 1)
     e = _entries(spec, np.exp(1j * t), {name: values[:, None]})
-    shape = (len(values), samples + 1)
     # the mean is reduced and released before D is formed: the fewer arrays a
     # batch holds at once, the less the worker threads' heaps fragment
-    mean = np.broadcast_to(0.5 * (e[0][0] + e[1][1]), shape)
-    mean_max, mean_jump = np.abs(mean).max(axis=1), np.abs(np.diff(mean, axis=1)).max(axis=1)
+    mean = 0.5 * (e[0][0] + e[1][1])
+    mean_max, mean_steps = np.abs(mean).max(axis=-1), np.abs(np.diff(mean, axis=-1))
     del mean
-    disc = np.broadcast_to(_dimer_disc(e), shape)
+    disc = np.broadcast_to(_dimer_disc(e), (len(values), samples + 1))
     del e
     nu, _, fine, integral = _winding(disc)
-    mag = np.abs(disc)
-    half_gap = np.sqrt(mag.min(axis=1))
-    scale = 1.0 + mean_max + np.sqrt(mag.max(axis=1))   # >= 1 + max|E|
-    del mag
+    root = np.sqrt(np.abs(disc))        # half the gap, sample by sample
+    half_gap = root.min(axis=1)
+    scale = 1.0 + mean_max + root.max(axis=1)   # >= 1 + max|E|
     with np.errstate(divide="ignore", invalid="ignore"):
-        jump = (mean_jump + np.abs(np.diff(disc, axis=1)).max(axis=1)
-                / (2.0 * math.cos(math.pi / 8.0) * half_gap))
+        jump = (mean_steps + np.abs(np.diff(disc, axis=1))
+                / (2.0 * math.cos(math.pi / 8.0) * np.minimum(root[:, :-1], root[:, 1:]))
+                ).max(axis=1)
+    del root
     fast = (fine & integral & (jump < 0.45 * half_gap) & (half_gap > 1e-6 * scale)
             & (np.abs(np.sqrt(disc[:, 0]).real) > 1e-6 * scale))
     return nu.astype(int), fast
 
 
+@functools.cache
 def _b2_label(nu: int) -> tuple[str, int, Permutation]:
-    """The label of a two-band cell of winding ``nu``: t1^nu, nu, and its closure."""
+    """The label of a two-band cell of winding ``nu``: t1^nu, nu, and its closure.
+
+    One object per ``nu``, shared by every cell that carries it.
+    """
     word = BraidWord(((1, 1 if nu > 0 else -1),) * abs(nu), 2)
     return word_to_text(cyclic_canonical(word)), nu, Permutation((1, 0) if nu % 2 else (0, 1))
 
 
-def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int) -> tuple[list, int]:
-    """Label each cell of a row that sets parameter ``name`` of ``spec`` to ``values``.
+def _gate(spec: ModelSpec, name: str, values: np.ndarray, k0: float,
+          samples: int) -> tuple[list, np.ndarray]:
+    """The B_2 gates of one row: labels of the cells they settle (None elsewhere),
+    and the indices of the cells they leave to the tracker.
 
-    Returns the labels and the number of cells the tracker labelled. A label
-    is (canonical word text, exponent sum, closure permutation); a cell that
-    fails (on an exceptional point, at the refinement cap, at a degenerate
-    or unresolved crossing) gets the exception it failed with. The braid
-    group of two bands is Abelian, so a dimer cell whose discriminant
-    winding nu is well conditioned on the tracker's first grid is labelled
-    from nu alone: first, for the whole row at once, wherever bounds from
-    the Laurent coefficients of D and a coarse grid certify it
-    (:func:`_certified`), then, in cache-sized batches of the cells left,
-    wherever the fine gate on the tracker's grid finds it
-    (:func:`_dimer_windings`). Every other cell is tracked and read, in one
-    call of the family's row classifier. The row's DEBUG record counts the
-    certified and the tracked cells.
+    A dimer cell is labelled from its discriminant winding wherever bounds
+    from the Laurent coefficients of D and a coarse grid certify it
+    (:func:`_certified`, for the whole row at once), then, in cache-sized
+    batches of the cells left, wherever the fine gate on the tracker's grid
+    finds it (:func:`_dimer_windings`). A trimer row is left whole. Logs the
+    row's DEBUG record, which counts the certified and the tracked cells.
     """
-    if samples < 64:    # the tracker's floor, also where no cell reaches it
-        raise ValueError(f"need at least 64 samples, got {samples}")
-    values = np.asarray(values, dtype=float)
     labels: list = [None] * len(values)
     rest = np.arange(len(values))
     certified = 0
@@ -534,19 +532,50 @@ def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int) -> tu
         for s in range(0, len(rest), batch):
             cells = rest[s:s + batch]
             nu[cells], fast[cells] = _dimer_windings(spec, name, values[cells], k0, samples)
-        by_nu = {v: _b2_label(v) for v in set(nu[fast].tolist())}
         for i, v in zip(np.flatnonzero(fast).tolist(), nu[fast].tolist()):
-            labels[i] = by_nu[v]
+            labels[i] = _b2_label(v)
         rest = np.flatnonzero(~fast)
-    if len(rest):
-        row_classify = {"dimer": sweep.dimer_row_classify,
-                        "trimer": sweep.trimer_row_classify}[spec.kind]
-        for i, res in zip(rest.tolist(), row_classify(spec, name, values[rest], k0=k0,
-                                                      samples=samples)):
-            labels[i] = (res if isinstance(res, Exception) else
-                         (word_to_text(cyclic_canonical(res[0])), exponent_sum(res[0]), res[1]))
     _LOG.debug("%s row over %s: %d cells, %d certified, %d tracked", spec.kind, name,
                len(values), certified, len(rest))
+    return labels, rest
+
+
+def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int,
+              rows: tuple[str, np.ndarray] | None = None) -> tuple[list, int]:
+    """Label each cell of a block of rows of ``spec``, each row setting ``name`` to ``values``.
+
+    ``rows``, a (name, values) pair, sets one more parameter, one value per
+    row; without it the block is the one row of ``spec``. Returns the
+    labels, row after row, and the number of cells the tracker labelled. A
+    label is (canonical word text, exponent sum, closure permutation); a
+    cell that fails (on an exceptional point, at the refinement cap, at a
+    degenerate or unresolved crossing) gets the exception it failed with.
+    The braid group of two bands is Abelian, so each dimer row is first
+    gated on its own (:func:`_gate`); the cells the gates leave in the whole
+    block, which differ in both parameters, are then tracked and read in one
+    call of the family's classifier in :mod:`bloch_braids.sweep`.
+    """
+    if samples < 64:    # the tracker's floor, also where no cell reaches it
+        raise ValueError(f"need at least 64 samples, got {samples}")
+    values = np.asarray(values, dtype=float)
+    row_name, row_values = rows if rows is not None else (None, [None])
+    labels: list = []
+    rest = []
+    for r, v in enumerate(row_values):
+        row_spec = spec if row_name is None else spec.replace_param(row_name, float(v))
+        row_labels, row_rest = _gate(row_spec, name, values, k0, samples)
+        labels += row_labels
+        rest.append(row_rest + r * len(values))
+    rest = np.concatenate(rest)
+    if len(rest):
+        cells = {name: values[rest % len(values)]}
+        if row_name is not None:
+            cells[row_name] = np.asarray(row_values, dtype=float)[rest // len(values)]
+        classify = {"dimer": sweep.dimer_row_classify, "trimer": sweep.trimer_row_classify}
+        for i, res in zip(rest.tolist(), classify[spec.kind](spec, cells, k0=k0,
+                                                             samples=samples)):
+            labels[i] = (res if isinstance(res, Exception) else
+                         (word_to_text(cyclic_canonical(res[0])), exponent_sum(res[0]), res[1]))
     return labels, len(rest)
 
 
@@ -868,17 +897,18 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     """Classify the braid phase on a 2-parameter grid.
 
     ``axis1`` and ``axis2`` are :class:`AxisSpec` or (name, start, stop,
-    resolution) tuples naming scalar parameters of the template model. Each
-    row of ``axis2`` cells is labelled as one batch (:func:`_classify`): a
-    dimer cell whose discriminant winding is well conditioned on the
-    tracker's first grid from that winding alone, every other cell by the
-    rules of :func:`track_bands` and :func:`extract_braid_word`, tracked and
-    read as one batch; a cell where they fail is DEGENERATE.
-    ``tracked_cells`` of the result counts the tracked cells, and each row
-    logs one DEBUG record to the ``bloch_braids`` logger. Rows run in a
-    thread pool (``threads``, else BLOCH_BRAIDS_THREADS, caps the worker
-    count; 0 means automatic, a negative count raises ``ValueError``); the
-    labels are interned after the pool, so ids never depend on scheduling.
+    resolution) tuples naming scalar parameters of the template model. The
+    rows of ``axis2`` cells are split into one contiguous block per worker
+    (``threads``, else BLOCH_BRAIDS_THREADS, caps the worker count; 0 means
+    automatic, a negative count raises ``ValueError``), and each block is
+    labelled by :func:`_classify`: a dimer cell whose discriminant winding
+    is well conditioned on the tracker's first grid from that winding alone,
+    row by row, and every other cell of the block by the rules of
+    :func:`track_bands` and :func:`extract_braid_word`, tracked and read as
+    one batch; a cell where they fail is DEGENERATE. ``tracked_cells`` of
+    the result counts the tracked cells, and each row logs one DEBUG record
+    to the ``bloch_braids`` logger. The labels are interned after the pool,
+    so ids never depend on scheduling.
     """
     axis1 = axis1 if isinstance(axis1, AxisSpec) else AxisSpec(*axis1)
     axis2 = axis2 if isinstance(axis2, AxisSpec) else AxisSpec(*axis2)
@@ -898,19 +928,22 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     vals1 = axis1.values()
     vals2 = axis2.values()
 
-    def classify_row(i: int) -> tuple[list, int]:
-        return _classify(template.replace_param(axis1.name, float(vals1[i])), axis2.name, vals2,
-                         k0, samples)
+    def classify_block(rows: np.ndarray) -> tuple[list, int]:
+        return _classify(template, axis2.name, vals2, k0, samples, (axis1.name, rows))
 
-    workers = _thread_count(threads)
-    if workers == 1:
-        rows = [classify_row(i) for i in range(len(vals1))]
+    blocks = [b for b in np.array_split(vals1, _thread_count(threads)) if len(b)]
+    if len(blocks) == 1:
+        done = [classify_block(blocks[0])]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(classify_row, range(len(vals1))))
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            done = list(pool.map(classify_block, blocks))
     index: dict = {}        # label -> id, in row-major order of first appearance
-    ids = np.array([[index.setdefault((DEGENERATE, None, None) if isinstance(lab, Exception)
-                                      else lab, len(index)) for lab in row] for row, _ in rows],
-                   dtype=np.intp)
+    known: dict = {}        # id() of a label object -> its id: fast cells share their objects
+    flat = [lab for labels, _ in done for lab in labels]
+    for lab in flat:
+        if id(lab) not in known:
+            known[id(lab)] = index.setdefault((DEGENERATE, None, None)
+                                              if isinstance(lab, Exception) else lab, len(index))
+    ids = np.array([known[id(lab)] for lab in flat], dtype=np.intp).reshape(len(vals1), -1)
     return PhaseDiagram(template, axis1, axis2, list(index), ids, k0, samples,
-                        sum(tracked for _, tracked in rows))
+                        sum(tracked for _, tracked in done))

@@ -524,6 +524,17 @@ def _bad_configs():
             ("out-int", {**bands, "command": "eps", "out": 1}, "out must be a string or null"),
             ("m-1.7", {**bands, "model": {"kind": "dimer", "params": {**params, "m": 1.7}}},
              "m must be a positive integer, got 1.7"),
+            # an unbounded m died in numpy: a 233 TiB array for 1e6, a nameless error for 1e300
+            ("m-1e6", {**eps, "model": {"kind": "dimer", "params": {**params, "m": 1e6}}},
+             "dimer neighbour order m must be at most 32, got 1000000.0"),
+            ("m-1e300", {**eps, "model": {**TRIMER, "params": {**TRIMER["params"], "m": 1e300}}},
+             "trimer neighbour order m must be at most 32, got 1e+300"),
+            # an integer beyond the float range raised OverflowError, a traceback
+            ("m-huge-int", {**eps, "model": {"kind": "dimer", "params": {**params, "m": 10**400}}},
+             "dimer parameter m must be a number within the float range, got an integer of 401"),
+            ("alpha-huge-int", {**eps, "model": {"kind": "dimer",
+                                               "params": {**params, "alpha": -10**400}}},
+             "dimer parameter alpha must be a number within the float range"),
             ("missing-v", {**bands, "model": {**TRIMER, "params": {"alpha": 1.0, "beta": 1.0,
                                                                    "delta": 0.3, "gamma": 0.7}}},
              "trimer parameter v is missing"),

@@ -39,8 +39,10 @@ def test_span_tracer_attributes_resolve_and_are_called():
     tracer.install()        # looks up every attribute it wraps, by name
     try:
         topology.total_braid_index(ModelSpec.trimer(1.0, 0.8, 0.3, 0.2, 0.7))
+        # gamma = 0.6 puts the (1.6, 0.6) cell on the line gamma = beta - alpha, where the
+        # B_2 gates leave it to the tracker; every other cell of the plane is gated
         topology.phase_diagram(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0), ("beta", 1.4, 1.6, 2),
-                               ("gamma", -1.0, 1.0, 3), samples=128, threads=1)
+                               ("gamma", -1.0, 0.6, 3), samples=128, threads=1)
         # the one-trajectory reader, which calls evaluate_raw with arrays
         topology.extract_braid_word(topology.track_bands(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0)))
     finally:

@@ -398,3 +398,38 @@ def test_riemann_loop_trimer_closure(fig3_trimer):
 def test_riemann_loop_requires_positive_radius(fig1_dimer):
     with pytest.raises(ValueError):
         riemann_loop(fig1_dimer(1.0), -0.5)
+
+
+def test_phase_steps_give_the_bits_of_the_remainder():
+    # the wrap (d + pi) mod 2pi - pi is written out as two masked shifts; on
+    # every edge of its range and on a long random array it must give the
+    # bits of numpy's remainder, and so must the winding's raw total
+    from bloch_braids.spectrum import _phase_steps, _winding
+    two_pi = 2.0 * np.pi
+
+    def reference(values):
+        steps = (np.diff(np.angle(values), axis=-1) + np.pi) % two_pi - np.pi
+        return steps, steps.sum(axis=-1) / two_pi
+
+    plus_pi, minus_pi = complex(-1.0, 0.0), complex(-1.0, -0.0)     # angles pi and -pi
+    zero, minus_zero = complex(1.0, 0.0), complex(1.0, -0.0)        # angles 0.0 and -0.0
+    edges = np.array([
+        (minus_pi, plus_pi), (plus_pi, minus_pi),   # steps of +2pi and -2pi
+        (zero, plus_pi), (zero, minus_pi),          # steps of exactly +pi and -pi
+        (-1j, 1j), (1j, -1j),                       # +pi and -pi again: d + pi is 2pi and 0
+        (zero, minus_zero), (minus_zero, zero), (minus_zero, minus_zero),
+        (complex(np.nan, 0.0), zero), (zero, complex(np.nan, 0.0)), (zero, complex(0.0, np.nan))])
+    rng = np.random.default_rng(5)
+    base = rng.uniform(-np.pi, np.pi, 1 << 14)
+    # steps within a few ulps of +pi and -pi, where d + pi meets 2pi and 0
+    ulps = rng.integers(-4, 5, (2, 1 << 14)) * np.spacing(np.pi)
+    near = np.stack([np.exp(1j * base), np.exp(1j * (base + np.pi + ulps[0]))], axis=-1)
+    near_down = np.stack([np.exp(1j * base), np.exp(1j * (base - np.pi + ulps[1]))], axis=-1)
+    curves = np.exp(1j * rng.uniform(-np.pi, np.pi, (32, 1025)))
+    for values in (edges, near, near_down, curves):
+        steps, raw = reference(values)
+        assert values.size >= 1 << 14 or values is edges
+        assert np.array_equal(_phase_steps(values).view(np.int64), steps.view(np.int64))
+        assert np.array_equal(_winding(values)[1].view(np.int64), raw.view(np.int64))
+    steps = reference(edges)[0]
+    assert np.isnan(steps[-3:]).all() and (steps[:-3] == 0.0).sum() >= 2

@@ -486,8 +486,8 @@ def test_disc_count_equals_exponent_sum_on_fig3b_rows(m):
     gammas = np.linspace(0.02, 1.0, 50)
     checked = 0
     for beta in (-1.2, -0.4, 0.8, 1.6):
-        results = trimer_row_classify(ModelSpec.trimer(1.0, beta, 0.3, 0.0, 0.7, m), "gamma",
-                                      gammas, k0=PI4)
+        results = trimer_row_classify(ModelSpec.trimer(1.0, beta, 0.3, 0.0, 0.7, m),
+                                      {"gamma": gammas}, k0=PI4)
         for gamma, res in zip(gammas.tolist(), results):
             if isinstance(res, Exception):
                 continue
@@ -761,7 +761,7 @@ def test_row_engine_agrees_with_scalar_classifier(row, fig1_dimer, fig3_trimer):
     kind, value = row
     if kind == "dimer":
         gammas = np.linspace(-3.0, 3.0, 121)
-        results = dimer_row_classify(fig1_dimer(0.0, m=value), "gamma", gammas, k0=PI4)
+        results = dimer_row_classify(fig1_dimer(0.0, m=value), {"gamma": gammas}, k0=PI4)
         specs = [fig1_dimer(g, m=value) for g in gammas.tolist()]
     else:
         # the fig3b rows; gamma = 0.5176 lies just above a fig4a boundary
@@ -769,7 +769,7 @@ def test_row_engine_agrees_with_scalar_classifier(row, fig1_dimer, fig3_trimer):
         gammas = np.linspace(0.02, 1.0, 50)
         if value < 0:
             gammas = np.append(gammas, 0.5176)
-        results = trimer_row_classify(fig3_trimer(value, 0.0), "gamma", gammas, k0=PI4)
+        results = trimer_row_classify(fig3_trimer(value, 0.0), {"gamma": gammas}, k0=PI4)
         specs = [fig3_trimer(value, g) for g in gammas.tolist()]
     assert len(results) == len(specs)
     counts = {"refined": 0, "failed": 0}
@@ -818,7 +818,7 @@ def test_dimer_fast_path_agrees_with_tracker(m):
         assert not (cert & ~passed).any(), values[cert & ~passed]
         assert (nu[cert] == nu_fine[cert]).all(), values[cert & (nu != nu_fine)]
         certified, fine = certified + cert.sum(), fine + passed.sum()
-        for value, lab, res in zip(values, labels, dimer_row_classify(spec, name, values,
+        for value, lab, res in zip(values, labels, dimer_row_classify(spec, {name: values},
                                                                       k0=PI4)):
             if isinstance(res, Exception):
                 failed += 1
@@ -855,3 +855,70 @@ def test_certified_bounds_hold_on_a_dense_grid(seed):
     steepest = np.abs(np.diff(disc, axis=1)).max(axis=1) / (k[1] - k[0])
     assert (steepest <= slope).all(), steepest - slope
     assert (low <= np.abs(disc).min(axis=1)).all(), low - np.abs(disc).min(axis=1)
+
+
+# fig1b slabs whose gamma grid (step 0.25) holds every exceptional line of every beta
+# row exactly, and the same grid 1e-9 beside them; a fig3b slab whose beta = +/-0.15,
+# gamma = 0.6 cells refine to the 65536-sample cap
+BLOCK_PLANES = [pytest.param(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0, m), ("beta", 0.5, 2.5, 5),
+                             ("gamma", -3.5 + shift, 3.5 + shift, 29), id=f"dimer{m}-{shift}")
+                for m in (1, 2) for shift in (0.0, 1e-9)]
+BLOCK_PLANES.append(pytest.param(ModelSpec.trimer(1.0, 1.0, 0.3, 0.1, 0.7),
+                                 ("beta", -0.15, 0.15, 3), ("gamma", 0.5, 0.7, 5), id="trimer"))
+
+
+@pytest.mark.parametrize("template, axis1, axis2", BLOCK_PLANES)
+def test_phase_diagram_labels_do_not_depend_on_the_blocks(template, axis1, axis2):
+    # one worker tracks the cells the gates leave in every row as one batch; two and
+    # three split the rows into blocks: each gives the same diagram, and every row
+    # reads as _classify on that row alone
+    from bloch_braids.topology import _classify
+    pds = [phase_diagram(template, axis1, axis2, threads=n) for n in (1, 2, 3)]
+    pd = pds[0]
+    for other in pds[1:]:
+        assert other.labels == pd.labels and np.array_equal(other.ids, pd.ids)
+        assert other.tracked_cells == pd.tracked_cells
+    tracked = 0
+    for i, value in enumerate(pd.axis1.values().tolist()):
+        labels, n = _classify(template.replace_param(axis1[0], value), axis2[0],
+                              pd.axis2.values(), PI4, 512)
+        assert [pd.labels[k] for k in pd.ids[i].tolist()] == [
+            ("DEGENERATE", None, None) if isinstance(lab, Exception) else lab
+            for lab in labels], (axis1[0], value)
+        tracked += n
+    assert tracked == pd.tracked_cells >= 2
+    if axis2[1] == -3.5 or template.kind == "trimer":
+        assert ("DEGENERATE", None, None) in pd.labels
+
+
+def test_tracker_batches_stay_within_the_sample_caps(monkeypatch):
+    # cells of different rows share tracker batches, so the caps, not the size of a
+    # block, must bound what one raw evaluation asks for: a first grid of at most
+    # 2^15 samples (63 cells at 513), a refined grid of at most 2^16 (one cell at the
+    # 65536 cap); past them a worker's resident memory grows with the block
+    from bloch_braids import sweep
+    calls = []
+    eig_grid = sweep._eig_grid
+
+    def recording(spec, t, radius=None, values=None):
+        calls.append(np.broadcast_shapes(np.shape(t), *(np.shape(v) for v in values.values())))
+        return eig_grid(spec, t, radius, values)
+
+    monkeypatch.setattr(sweep, "_eig_grid", recording)
+    planes = [(ModelSpec.trimer(1.0, 1.0, 0.3, 0.1, 0.7), ("beta", -0.15, 0.15, 3),
+               ("gamma", 0.02, 1.0, 50)),
+              (ModelSpec.dimer(1.0, 1.5, 0.3, 1.0, 2), ("beta", 0.25, 2.0, 6),
+               ("gamma", -3.0, 3.0, 600))]
+    for template, axis1, axis2 in planes:
+        calls.clear()
+        phase_diagram(template, axis1, axis2, threads=1)
+        grids = [shape for shape in calls if len(shape) == 2]   # (cells, points) of the tracker
+        # a first grid has samples + 1 points; a refinement evaluates the k midpoints
+        # of a 2k + 1 grid
+        first = [(cells, points) for cells, points in grids if points % 2]
+        refined = [(cells, 2 * points + 1) for cells, points in grids if points % 2 == 0]
+        for cap, batches in ((1 << 15, first), (1 << 16, refined)):
+            assert all(cells == 1 or cells * points <= cap for cells, points in batches), batches
+        # neither bound is vacuous: a full first batch, and a cell at the refinement cap
+        assert len(first) >= 2 and max(cells * points for cells, points in first) > 1 << 14
+        assert max(points for _, points in refined) == (1 << 16) + 1
