@@ -33,9 +33,9 @@ from . import io as bio
 from .braid import cyclic_canonical, exponent_sum, extract_braid_word, word_to_text
 from .errors import NumericalFailure
 from .models import ModelSpec, _read_json, _require_finite
-from .spectrum import riemann_loop, track_bands
-from .topology import (DEGENERATE, dimer_ep_zplane, find_eps_k, phase_diagram,
-                       total_braid_index, winding_number)
+from .spectrum import TRACK_SAMPLES_MAX, riemann_loop, track_bands
+from .topology import (_WINDING_SAMPLES_MAX, DEGENERATE, dimer_ep_zplane, find_eps_k,
+                       phase_diagram, total_braid_index, winding_number)
 
 # Each command's options and their defaults. The type of a default is the
 # option's type (a float option takes any JSON number, an int option only a
@@ -100,8 +100,11 @@ class RunConfig:
                     for key, v in resolved.items()}
         _require_finite(**{f"{what} {key}": v for key, v in resolved.items()
                            if isinstance(v, float)})
-        if "samples" in resolved and resolved["samples"] < 64:
-            raise ValueError(f"{what} samples must be at least 64, got {resolved['samples']}")
+        samples = resolved.get("samples", 64)      # eps takes no samples
+        cap = _WINDING_SAMPLES_MAX if self.command == "winding" else TRACK_SAMPLES_MAX
+        if not 64 <= samples <= cap:
+            bound = "at least 64" if samples < 64 else f"at most {cap}"
+            raise ValueError(f"{what} samples must be {bound}, got {samples}")
         if "r" in resolved and resolved["r"] <= 0:
             raise ValueError(f"{what} r must be positive, got {resolved['r']!r}")
         return resolved
@@ -110,9 +113,11 @@ class RunConfig:
 def _parse_axis(what: str, text: str) -> tuple[str, float, float, int]:
     try:
         name, start, stop, res = text.split(":")
-        return (name, float(start), float(stop), int(res))
+        axis = (name, float(start), float(stop), int(res))
     except ValueError:
         raise ValueError(f"{what} must be name:start:stop:resolution, got {text!r}") from None
+    _require_finite(**{f"{what} start": axis[1], f"{what} stop": axis[2]})
+    return axis
 
 
 def _write(path: str | None, text: str) -> None:

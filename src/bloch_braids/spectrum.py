@@ -10,7 +10,8 @@ period into continuous bands by minimal-total-distance matching, and
 doubles a uniform grid, keeping the samples already computed, until the
 largest matched jump is below half the smallest inter-band gap. The
 permutation of band labels after one full traversal (the closure
-permutation) is recorded on the trajectory.
+permutation) is recorded on the trajectory. The cubic takes its cube root as
+cbrt(|u^3|) exp(i arg(u^3) / 3), the same principal branch as ``u3 ** (1/3)``.
 """
 
 from __future__ import annotations
@@ -83,40 +84,42 @@ def _quadratic(e):
     return mean - off, mean + off
 
 
+_OMEGA = np.exp(2j * np.pi / 3.0)
+_CUBIC_BLOCK = 4096     # points per pass: the pass's temporaries stay in a core's cache
+
+
 def _cubic_roots_vec(b, c, d):
-    """Roots of E^3 + b E^2 + c E + d, elementwise over arrays.
+    """Roots of E^3 + b E^2 + c E + d, elementwise over arrays, shape (..., 3).
 
-    Cardano in depressed form with the better-conditioned cube-root branch,
-    then one Newton step per root. Multiple roots are returned with
-    multiplicity (the Newton step is skipped where the derivative is tiny).
+    Cardano in depressed form with the larger-modulus root u^3 of the
+    resolvent quadratic, then one Newton step per root, block by block. The
+    cube root is cbrt(|u^3|) exp(i arg(u^3) / 3): the same principal branch as
+    ``u3 ** (1/3)``, without the clog and cexp of libm's complex power.
+    Multiple roots are returned with multiplicity (the Newton step is skipped
+    where the derivative is tiny).
     """
-    b = np.asarray(b, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    d = np.asarray(d, dtype=complex)
-    p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    s = np.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
-    u3a = -q / 2.0 + s
-    u3b = -q / 2.0 - s
-    u3 = np.where(np.abs(u3a) >= np.abs(u3b), u3a, u3b)
-    tiny = np.abs(u3) == 0.0
-    u = np.where(tiny, 1.0, u3) ** (1.0 / 3.0)
-    v = np.where(tiny, 0.0, -p / (3.0 * u))
-    u = np.where(tiny, 0.0, u)
-    omega = np.exp(2j * np.pi / 3.0)
-    t0 = u + v
-    t1 = u * omega + v / omega
-    t2 = u / omega + v * omega
-    roots = np.stack([t0, t1, t2], axis=-1) - b[..., None] / 3.0
-
-    bb = b[..., None]
-    cc = c[..., None]
-    dd = d[..., None]
-    f = ((roots + bb) * roots + cc) * roots + dd
-    df = (3.0 * roots + 2.0 * bb) * roots + cc
-    scale = 1.0 + np.abs(bb) + np.abs(cc) + np.abs(dd)
-    safe = np.abs(df) > 1e-12 * scale
-    roots = np.where(safe, roots - f / np.where(safe, df, 1.0), roots)
+    coeffs = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (b, c, d)))
+    roots = np.empty(coeffs[0].shape + (3,), dtype=complex)
+    flat, coeffs = roots.reshape(-1, 3), [x.ravel() for x in coeffs]
+    for at in range(0, len(flat), _CUBIC_BLOCK):
+        b, c, d = (x[at:at + _CUBIC_BLOCK] for x in coeffs)
+        b3 = b / 3.0
+        p3 = (c - b * b3) / 3.0
+        h = -(b3 * (2.0 * b3 * b3 - c) + d) / 2.0
+        s = np.sqrt(h * h + p3 * p3 * p3)
+        u3 = np.where(np.abs(h + s) >= np.abs(h - s), h + s, h - s)
+        r, arg = np.cbrt(np.abs(u3)), np.angle(u3) / 3.0
+        u = np.empty_like(u3)
+        u.real, u.imag = r * np.cos(arg), r * np.sin(arg)
+        v = np.divide(-p3, u, out=np.zeros_like(u), where=r > 0.0)
+        floor = 1e-12 * (1.0 + np.abs(b) + np.abs(c) + np.abs(d))
+        for j, t in enumerate((u + v, u * _OMEGA + v / _OMEGA, u / _OMEGA + v * _OMEGA)):
+            t -= b3
+            f = ((t + b) * t + c) * t + d
+            df = (3.0 * t + 2.0 * b) * t + c
+            safe = np.abs(df) > floor
+            np.subtract(t, np.divide(f, df, out=f, where=safe), out=t, where=safe)
+            flat[at:at + _CUBIC_BLOCK, j] = t
     return roots
 
 
@@ -323,11 +326,11 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
     cell that fails is not, and ``failures[cell]`` holds its exception.
     ``kept`` holds the previous level's samples. A first grid is split into
     batches of at most ``_FIRST_BATCH_SAMPLES`` samples, a refined one into
-    batches of at most ``_REFINE_BATCH_SAMPLES``.
+    batches of at most ``_REFINE_BATCH_SAMPLES``, unless a batch holds one cell.
     """
     if k < 64:
         raise ValueError(f"need at least 64 samples, got {k}")
-    if kept is None and len(cells) * (k + 1) > _FIRST_BATCH_SAMPLES:
+    if kept is None and len(cells) > 1 and len(cells) * (k + 1) > _FIRST_BATCH_SAMPLES:
         batch = max(1, _FIRST_BATCH_SAMPLES // (k + 1))
         for s in range(0, len(cells), batch):
             yield from _track(raw_at, cells[s:s + batch], t0, k, failures, None, nudges)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,67 @@ def test_cli_rejects_eref_with_extra_parts(eref, dimer_file, tmp_path, capsys):
     out = tmp_path / "w.json"
     assert main(["winding", "--model", dimer_file, "--eref", eref, "--out", str(out)]) == 1
     assert "--eref takes RE or RE,IM" in capsys.readouterr().err
+    assert not out.exists()
+
+
+MODELS = Path(__file__).resolve().parent.parent / "configs" / "models"
+
+
+@pytest.mark.parametrize("samples", [32768, 65536])
+@pytest.mark.parametrize("args", [
+    ["bands", "--model", "dimer_fig1c1.json"], ["braid", "--model", "dimer_fig1c1.json"],
+    ["riemann", "--model", "dimer_fig1c1.json", "--r", "0.8"],
+    ["phase-diagram", "--model", "trimer_fig3d.json", "--axis1", "beta:0.5:1:2",
+     "--axis2", "gamma:0.2:0.6:2"]], ids=["bands", "braid", "riemann", "phase-diagram"])
+def test_cli_tracks_one_cell_above_the_first_batch_cap(args, samples, tmp_path, capsys):
+    # a first grid of one cell over 2^15 samples was split into that same one
+    # cell until RecursionError; 65536 is also the tracked commands' largest count
+    out = tmp_path / "out"
+    args = [str(MODELS / a) if a.endswith(".json") else a for a in args]
+    assert main([*args, "--samples", str(samples), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
+
+
+def test_cli_winding_runs_at_its_largest_sample_count(dimer_file, capsys):
+    assert main(["winding", "--model", dimer_file, "--samples", str(1 << 20)]) == 0
+    assert capsys.readouterr().out.startswith("nu: ")
+
+
+@pytest.mark.parametrize("args, cap", [
+    (["bands"], 65536), (["braid"], 65536), (["riemann"], 65536), (["winding"], 1 << 20),
+    (["phase-diagram", "--axis1", "beta:1.4:1.6:2", "--axis2", "gamma:-1:1:2"], 65536)],
+    ids=["bands", "braid", "riemann", "winding", "phase-diagram"])
+def test_cli_rejects_samples_past_the_cap(args, cap, dimer_file, tmp_path, capsys, monkeypatch):
+    # 131072 ran; a count such as 10^12 would have asked numpy for terabytes
+    from bloch_braids import cli
+    monkeypatch.setitem(cli._RUNNERS, args[0], None)    # rejected before any pipeline runs
+    out = tmp_path / "out"
+    assert main([*args, "--model", dimer_file, "--samples", str(cap + 1), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {args[0]} option samples must be at most {cap}, got {cap + 1}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis1, axis2, name", [
+    ("beta:0:inf:2", "gamma:0.2:0.6:2", "axis1 stop"),
+    ("beta:nan:1:2", "gamma:0.2:0.6:2", "axis1 start"),
+    ("beta:0:1:2", "gamma:-inf:0.6:2", "axis2 start"),
+    ("beta:0:1:2", "gamma:0.2:nan:2", "axis2 stop")],
+    ids=["axis1-stop-inf", "axis1-start-nan", "axis2-start--inf", "axis2-stop-nan"])
+def test_cli_rejects_non_finite_axis_ends(axis1, axis2, name, trimer_file, tmp_path, capsys):
+    # an infinite end printed numpy's RuntimeWarning, then named beta, not the axis
+    out = tmp_path / "pd.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["phase-diagram", "--model", trimer_file, "--axis1", axis1, "--axis2", axis2,
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0].startswith(f"error: phase-diagram option {name} must be finite, got ")
     assert not out.exists()
 
 
@@ -754,13 +816,13 @@ SHIPPED_SHA256 = {
                    "4284fc0107aa1a082bb0ac533d6ae486eaa9720e1572a8cae6034103ca94b02d"}),
     "fig3d": ("0eb98b7a3d69997a58b0ee6c2bde9ff7c285c6cbe55eb6e5bdc056e64206b82a",
               {"fig3d_bands.csv":
-                   "167d8db460da6dfa9524652f36eb3c27168d3203dddbd394d0d9d134d95f6038"}),
+                   "59d5177758926dc9d49e98441203327c4d615b53fbdce39024ce762de952df3f"}),
     "fig3e": ("64b28e16d70637984cdd63c0b4e2c6be1ec77d4f1d1626115dddbfbf0dd2ce54",
               {"fig3e_bands.csv":
-                   "b3255fd4d525f3d630cc6cb96910a14336a9851e329a4f1cfa5a939dee476b67"}),
+                   "7d4739860a38fd6033acadd61c2a4ba653cc40e9daf23ba6eb7651909bac1841"}),
     "fig3f": ("58d767555f344aec33db38adb302f8f8236372c2d55bf437f9fd7e10ffa0210b",
               {"fig3f_bands.csv":
-                   "c670bbcc0b7235b73cb42801d34d33fa80bd7224ec71b358f418415926b71372"}),
+                   "14aaa02084f006492f888cedc16d8481855fd3d9040f06bed37ffe2d8d095191"}),
     "fig4a": ("5e7ace1b6a0e6aa871cabbe4baa5ddb708c13020ea2bb058c2fd32e167600441",
               {"fig4a_braid.json":
                    "249d9b519afc6e737043bf5503f503358e435b0e494e912d43411b2c07b01158"}),

@@ -8,8 +8,9 @@ from bloch_braids import (DimerParams, ModelSpec, bloch_matrix, dimer_bands_anal
                           track_bands)
 from bloch_braids.errors import (DegenerateCrossing, DegeneracyEncountered, RefinementExhausted,
                                  UnresolvedCrossing)
-from bloch_braids.models import characteristic_coefficients
-from bloch_braids.spectrum import _closures, _eig_grid, _match_chain, _pair_gaps
+from bloch_braids.models import _char_coeffs, _entries, characteristic_coefficients
+from bloch_braids.spectrum import (_closures, _cubic_roots_vec, _eig_grid, _match_chain,
+                                   _pair_gaps)
 from conftest import PI4, random_dimer, random_trimer
 
 TRACK_ERRORS = (DegeneracyEncountered, RefinementExhausted, DegenerateCrossing,
@@ -112,6 +113,121 @@ def test_cubic_random_residuals():
 def test_cubic_rejects_non_monic():
     with pytest.raises(ValueError):
         solve_cubic([2.0, 0.0, 0.0, 1.0])
+
+
+def _cardano_complex_power(b, c, d):
+    """The cubic as it was solved before: the cube root as ``u3 ** (1/3)``, a
+    stacked polish. Its roots come in the order of the principal branch."""
+    b, c, d = (np.asarray(x, dtype=complex) for x in (b, c, d))
+    p = c - b * b / 3.0
+    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+    s = np.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
+    u3a, u3b = -q / 2.0 + s, -q / 2.0 - s
+    u3 = np.where(np.abs(u3a) >= np.abs(u3b), u3a, u3b)
+    tiny = np.abs(u3) == 0.0
+    u = np.where(tiny, 1.0, u3) ** (1.0 / 3.0)
+    v = np.where(tiny, 0.0, -p / (3.0 * u))
+    u = np.where(tiny, 0.0, u)
+    omega = np.exp(2j * np.pi / 3.0)
+    roots = np.stack([u + v, u * omega + v / omega, u / omega + v * omega], -1)
+    roots = roots - b[..., None] / 3.0
+    bb, cc, dd = b[..., None], c[..., None], d[..., None]
+    f = ((roots + bb) * roots + cc) * roots + dd
+    df = (3.0 * roots + 2.0 * bb) * roots + cc
+    safe = np.abs(df) > 1e-12 * (1.0 + np.abs(bb) + np.abs(cc) + np.abs(dd))
+    return np.where(safe, roots - f / np.where(safe, df, 1.0), roots)
+
+
+def _assert_near(roots, exact, allowance=(0.0, 0.0, 0.0), tol=1e-15):
+    """Each root within max(tol (1 + |E|), allowance) of its own exact root E."""
+    assert any(all(abs(roots[i] - e) <= max(tol * (1.0 + abs(e)), a)
+                   for i, e, a in zip(order, exact, allowance))
+               for order in itertools.permutations(range(3))), (roots, exact)
+
+
+def _assert_exact_roots(b, c, d, roots):
+    """Roots of E^3 + b E^2 + c E + d against mpmath's at 40 digits. A root E
+    whose condition sets a larger floor than 1e-15 (1 + |E|) may miss that by
+    the first-order error of a backward-stable solver, 2 eps (|E|^3 + |b| |E|^2
+    + |c| |E| + |d|) / |3 E^2 + 2 b E + c|."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = [complex(e) for e in mpmath.polyroots(
+            [1, mpmath.mpc(b), mpmath.mpc(c), mpmath.mpc(d)], maxsteps=100, extraprec=100)]
+    eps = np.finfo(float).eps
+    _assert_near(roots, exact, [2 * eps * (((abs(e) + abs(b)) * abs(e) + abs(c)) * abs(e) + abs(d))
+                                / abs((3 * e + 2 * b) * e + c) for e in exact])
+
+
+def _trimer_coefficients():
+    """Characteristic coefficients of the fig3 trimer family on a (beta, gamma, k)
+    grid and of random trimers at random momenta, flattened."""
+    rng = np.random.default_rng(37)
+    grid = _char_coeffs(_entries(
+        ModelSpec.trimer(1.0, 1.0, 0.3, 0.1, 0.7, 1),
+        np.exp(1j * (PI4 + np.arange(24) * np.pi / 12)),
+        {"beta": np.array([-1.5, -0.4, 0.8, 2.0])[:, None, None],
+         "gamma": np.array([0.1, 0.6])[None, :, None]}))
+    grid = [np.broadcast_to(x, (4, 2, 24)).ravel() for x in grid]
+    single = [_char_coeffs(_entries(random_trimer(rng), np.exp(1j * rng.uniform(0, 2 * np.pi))))
+              for _ in range(100)]
+    return [np.concatenate([g, [complex(x[i]) for x in single]]) for i, g in enumerate(grid)]
+
+
+def test_cubic_roots_match_mpmath_on_random_cubics_and_trimer_grids():
+    # 40-digit roots of 150 random complex cubics and 292 trimer points: one
+    # array call each, every root within 1e-15 (1 + |E|) of an exact root, or
+    # within its conditioning floor (one trimer point, as for the former solver)
+    rng = np.random.default_rng(41)
+    random = [rng.normal(size=150) + 1j * rng.normal(size=150) for _ in range(3)]
+    for b, c, d in (random, _trimer_coefficients()):
+        roots = _cubic_roots_vec(b, c, d)
+        for i in range(len(b)):
+            _assert_exact_roots(b[i], c[i], d[i], roots[i])
+        # the same principal cube-root branch as before: the same root in each column
+        former = _cardano_complex_power(b, c, d)
+        assert np.abs(roots - former).max() < 1e-12 * (1.0 + np.abs(former).max())
+
+
+_OMEGA = np.exp(2j * np.pi / 3.0)
+
+
+@pytest.mark.parametrize("b, c, d, exact", [
+    # u3 = -8 + 0j on the negative real axis, from inputs with +0.0 and -0.0
+    # imaginary parts (the former arithmetic, too, gives +0.0 for both)
+    (0.0, 0.0, 8.0, -2.0 * _OMEGA ** np.arange(3)),
+    (0.0, 0.0, complex(8.0, -0.0), -2.0 * _OMEGA ** np.arange(3)),
+    (complex(-3.0, -3.0), complex(6.0, -0.0), complex(-0.0, -0.0), None),
+    (complex(-3.0, -3.0), complex(6.0, -0.0), complex(-0.0, 0.0), None),
+    (-3.0, 3.0, -1.0, [1.0, 1.0, 1.0]), (0.0, 0.0, 0.0, [0.0, 0.0, 0.0]),     # u3 = 0
+    (0.0, -3.0, 2.0, [1.0, 1.0, -2.0]), (-3.0, 0.0, 4.0, [2.0, 2.0, -1.0])],  # double roots
+    ids=["u3-negative-axis-d+0", "u3-negative-axis-d-0", "u3-negative-complex-d-0",
+         "u3-negative-complex-d+0", "triple-root-1", "triple-root-0", "double-root-1",
+         "double-root-2"])
+def test_cubic_branch_edges(b, c, d, exact):
+    with np.errstate(all="raise"):
+        roots = _cubic_roots_vec(b, c, d)
+        former = _cardano_complex_power(b, c, d)
+    if exact is None:
+        _assert_exact_roots(b, c, d, roots)
+    else:
+        _assert_near(roots, exact)
+    # the principal branch of u3 ** (1/3), root by root and zero sign by zero sign
+    np.testing.assert_allclose(roots, former, rtol=0, atol=1e-15 * (1.0 + np.abs(former).max()))
+    assert (np.signbit(roots.real) == np.signbit(former.real))[former.real == 0].all()
+    assert (np.signbit(roots.imag) == np.signbit(former.imag))[former.imag == 0].all()
+
+
+def test_cubic_point_and_array_agree_bit_for_bit(fig3_trimer):
+    # one solver for numbers and arrays: a 0-d call is the same arithmetic as its
+    # point inside a 513-point trajectory
+    k = np.linspace(0, 2 * np.pi, 513)
+    b, c, d = _char_coeffs(_entries(fig3_trimer(1.2, 0.7), np.exp(1j * k)))
+    roots = _cubic_roots_vec(b, c, d)
+    assert roots.shape == (513, 3)
+    for i in range(513):
+        assert np.array_equal(_cubic_roots_vec(b[i], c[i], d[i]), roots[i])
+        assert np.array_equal(solve_cubic([1.0, b[i], c[i], d[i]]), roots[i])
 
 
 # -- eigenvalues --------------------------------------------------------------
