@@ -13,11 +13,10 @@ from .braid import (BraidWord, Permutation, concat, cyclic_canonical, exponent_s
                     extract_braid_word, free_reduce, induced_permutation, inverse,
                     word_from_text, word_to_text, words_cyclic_equal)
 from .models import (BlochMatrix, DimerParams, FourierTerm, GenericParams, ModelSpec,
-                     TrimerParams, bloch_matrix, bloch_matrix_z,
-                     characteristic_coefficients, dimer_hamiltonian, model_from_json,
-                     model_to_json, trimer_hamiltonian)
-from .spectrum import (BandSample, BandTrajectory, dimer_bands_analytic, eigenvalues,
-                       riemann_loop, sample_bands, solve_cubic, track_bands)
+                     TrimerParams, bloch_matrix, bloch_matrix_z, characteristic_coefficients,
+                     model_from_json, model_to_json)
+from .spectrum import (BandTrajectory, dimer_bands_analytic, eigenvalues, riemann_loop,
+                       solve_cubic, track_bands)
 from .topology import (AxisSpec, BraidIndex, ExceptionalPoint, PhaseCell, PhaseDiagram,
                        WindingResult, dimer_ep_lines, dimer_ep_zplane, discriminant,
                        ep_zplane_numeric, find_eps_k, gamma_axis_references,
@@ -31,11 +30,11 @@ __all__ = [
     "errors",
     # models
     "DimerParams", "TrimerParams", "GenericParams", "FourierTerm", "ModelSpec",
-    "BlochMatrix", "dimer_hamiltonian", "trimer_hamiltonian", "bloch_matrix",
-    "bloch_matrix_z", "characteristic_coefficients", "model_from_json", "model_to_json",
+    "BlochMatrix", "bloch_matrix", "bloch_matrix_z", "characteristic_coefficients",
+    "model_from_json", "model_to_json",
     # spectrum
-    "dimer_bands_analytic", "solve_cubic", "eigenvalues", "BandSample",
-    "sample_bands", "BandTrajectory", "track_bands", "riemann_loop",
+    "dimer_bands_analytic", "solve_cubic", "eigenvalues", "BandTrajectory", "track_bands",
+    "riemann_loop",
     # braid
     "BraidWord", "Permutation", "extract_braid_word", "induced_permutation",
     "concat", "inverse", "free_reduce", "exponent_sum", "cyclic_canonical",

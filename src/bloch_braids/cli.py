@@ -33,20 +33,28 @@ from . import io as bio
 from .braid import cyclic_canonical, exponent_sum, extract_braid_word, word_to_text
 from .errors import NumericalFailure
 from .models import ModelSpec, _read_json, _require_finite
-from .spectrum import TRACK_SAMPLES_MAX, riemann_loop, track_bands
-from .topology import (_WINDING_SAMPLES_MAX, DEGENERATE, dimer_ep_zplane, find_eps_k,
+from .spectrum import (_BASE_POINT_MAX, _SAMPLES_MIN, _WINDING_SAMPLES_DEFAULT,
+                       _WINDING_SAMPLES_MAX, TRACK_SAMPLES_DEFAULT, TRACK_SAMPLES_MAX,
+                       riemann_loop, track_bands)
+from .topology import (_AXIS_RESOLUTION_MAX, DEGENERATE, dimer_ep_zplane, find_eps_k,
                        phase_diagram, total_braid_index, winding_number)
 
-# Each command's options and their defaults. The type of a default is the
-# option's type (a float option takes any JSON number, an int option only a
-# JSON integer); None marks a required axis, given as name:start:stop:resolution.
+# Each command's options as (default, least, most). The type of a default is
+# the option's type (a float option takes any JSON number, an int option only
+# a JSON integer); None marks a required axis, given as
+# name:start:stop:resolution, whose bounds are its resolution's.
+_BASE_POINT = (-_BASE_POINT_MAX, _BASE_POINT_MAX)       # k0 and theta0
+_TRACKED = (TRACK_SAMPLES_DEFAULT, _SAMPLES_MIN, TRACK_SAMPLES_MAX)   # samples of a tracker
+_AXIS = (None, 2, _AXIS_RESOLUTION_MAX)
 _OPTIONS = {
-    "bands": {"k0": 0.0, "samples": 512},
-    "braid": {"k0": 0.0, "samples": 512},
+    "bands": {"k0": (0.0, *_BASE_POINT), "samples": _TRACKED},
+    "braid": {"k0": (0.0, *_BASE_POINT), "samples": _TRACKED},
     "eps": {},
-    "winding": {"eref_real": 0.0, "eref_imag": 0.0, "samples": 1024},
-    "phase-diagram": {"axis1": None, "axis2": None, "k0": math.pi / 4, "samples": 512},
-    "riemann": {"r": 1.0, "theta0": 0.0, "samples": 512},
+    "winding": {"eref_real": (0.0, -math.inf, math.inf), "eref_imag": (0.0, -math.inf, math.inf),
+                "samples": (_WINDING_SAMPLES_DEFAULT, _SAMPLES_MIN, _WINDING_SAMPLES_MAX)},
+    "phase-diagram": {"axis1": _AXIS, "axis2": _AXIS, "k0": (math.pi / 4, *_BASE_POINT),
+                      "samples": _TRACKED},
+    "riemann": {"r": (1.0, 1e-3, 1e3), "theta0": (0.0, *_BASE_POINT), "samples": _TRACKED},
 }
 _CSV_COMMANDS = ("bands", "phase-diagram", "riemann")     # the ones with --format csv|json
 # the keys of a config document, read as _read_json reads a table
@@ -93,20 +101,20 @@ class RunConfig:
         """Check the options against the command's table; return them with the
         defaults filled in, floats as floats and axes parsed."""
         what = f"{self.command} option"
+        options = _OPTIONS[self.command]
         resolved = _read_json(self.options, {key: str if default is None else default
-                                             for key, default in _OPTIONS[self.command].items()},
-                              what)
+                                             for key, (default, _, _) in options.items()}, what)
         resolved = {key: _parse_axis(f"{what} {key}", v) if isinstance(v, str) else v
                     for key, v in resolved.items()}
         _require_finite(**{f"{what} {key}": v for key, v in resolved.items()
                            if isinstance(v, float)})
-        samples = resolved.get("samples", 64)      # eps takes no samples
-        cap = _WINDING_SAMPLES_MAX if self.command == "winding" else TRACK_SAMPLES_MAX
-        if not 64 <= samples <= cap:
-            bound = "at least 64" if samples < 64 else f"at most {cap}"
-            raise ValueError(f"{what} samples must be {bound}, got {samples}")
-        if "r" in resolved and resolved["r"] <= 0:
-            raise ValueError(f"{what} r must be positive, got {resolved['r']!r}")
+        for key, (_, least, most) in options.items():
+            name, v = f"{what} {key}", resolved[key]
+            if isinstance(v, tuple):
+                name, v = f"{name} resolution", v[3]
+            if not least <= v <= most:
+                bound = f"at least {least}" if v < least else f"at most {most}"
+                raise ValueError(f"{name} must be {bound}, got {v}")
         return resolved
 
 
@@ -255,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, options in _OPTIONS.items():
         p = subs.add_parser(command, help=_HELP[command])
         _add_common(p, with_format=command in _CSV_COMMANDS)
-        for key, default in options.items():
+        for key, (default, _, _) in options.items():
             if key == "eref_real":      # --eref RE[,IM] fills eref_real and eref_imag
                 p.add_argument("--eref", metavar="RE[,IM]", help=_HELP["winding --eref"])
             elif key != "eref_imag":
@@ -273,7 +281,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     with open(args.model, encoding="utf-8") as fh:
         model_doc = json.load(fh)
     options = {key: getattr(args, key, default)
-               for key, default in _OPTIONS[args.command].items()}
+               for key, (default, _, _) in _OPTIONS[args.command].items()}
     if getattr(args, "eref", None) is not None:
         real, *imag = args.eref.split(",")
         if len(imag) > 1:

@@ -52,8 +52,6 @@ __all__ = [
     "GenericParams",
     "ModelSpec",
     "BlochMatrix",
-    "dimer_hamiltonian",
-    "trimer_hamiltonian",
     "bloch_matrix",
     "bloch_matrix_z",
     "characteristic_coefficients",
@@ -425,16 +423,6 @@ def _disc(coeffs):
         return b * b - 4.0 * c
     b, c, d = coeffs
     return 18.0 * b * c * d - 4.0 * b ** 3 * d + b * b * c * c - 4.0 * c ** 3 - 27.0 * d * d
-
-
-def dimer_hamiltonian(p: DimerParams, k: float) -> BlochMatrix:
-    """The 2x2 dimer Bloch matrix at real momentum k."""
-    return bloch_matrix(ModelSpec("dimer", p), k)
-
-
-def trimer_hamiltonian(p: TrimerParams, k: float) -> BlochMatrix:
-    """The 3x3 trimer Bloch matrix at real momentum k."""
-    return bloch_matrix(ModelSpec("trimer", p), k)
 
 
 def bloch_matrix(spec: ModelSpec, k: float) -> BlochMatrix:

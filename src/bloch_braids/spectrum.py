@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -33,8 +34,6 @@ __all__ = [
     "dimer_bands_analytic",
     "solve_cubic",
     "eigenvalues",
-    "BandSample",
-    "sample_bands",
     "BandTrajectory",
     "track_bands",
     "riemann_loop",
@@ -46,6 +45,13 @@ __all__ = [
 DEGENERACY_RTOL = 1e-8          # min gap below this (times scale) is an EP
 TRACK_SAMPLES_DEFAULT = 512
 TRACK_SAMPLES_MAX = 65536
+_SAMPLES_MIN = 64               # the floor of every tracked or wound grid
+_WINDING_SAMPLES_DEFAULT = 1024
+_WINDING_SAMPLES_MAX = 1 << 20
+# The largest |k0| or |theta0|. At 1000 the ulp of a base point is 1.1e-13, nine
+# orders below the finest step 2pi / 65536; near 1e16 the ulp reaches the step,
+# the grid t0 + linspace(0, 2pi, k + 1) loses it, and the bands look constant.
+_BASE_POINT_MAX = 1000.0
 _TWO_PI = 2.0 * np.pi
 
 
@@ -233,23 +239,6 @@ def _closures(bands: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 # -- trajectories ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class BandSample:
-    """Raw spectrum at one momentum: the N eigenvalues in solver order."""
-
-    k: float
-    energies: np.ndarray
-
-    @property
-    def n_bands(self) -> int:
-        return len(self.energies)
-
-
-def sample_bands(spec: ModelSpec, k: float) -> BandSample:
-    """Unordered eigenvalues of H(k); band identity is the tracker's job."""
-    return BandSample(float(k), _eig_grid(spec, np.array([k]))[0])
-
-
 @dataclass
 class BandTrajectory:
     """Continuity-tracked bands over one closed loop in parameter space.
@@ -265,7 +254,6 @@ class BandTrajectory:
     t_grid: np.ndarray
     bands: np.ndarray
     closure: Permutation
-    initial_order: np.ndarray
     radius: float | None = None
     scale: float = 1.0
     min_gap: float = 0.0
@@ -283,14 +271,6 @@ class BandTrajectory:
     def k0(self) -> float:
         return float(self.t_grid[0])
 
-    @property
-    def k_grid(self) -> np.ndarray:
-        return self.t_grid
-
-    @property
-    def closure_permutation(self) -> Permutation:
-        return self.closure
-
     def evaluate_raw(self, t) -> np.ndarray:
         """Unordered eigenvalues at loop parameters ``t`` (a number or an array), shape (..., N)."""
         return _eig_grid(self.model, t, self.radius)
@@ -304,7 +284,6 @@ class _Tracked:
     t_grid: np.ndarray      # (T,)
     bands: np.ndarray       # (C, N, T)
     closure: np.ndarray     # (C, N) closure images
-    order: np.ndarray       # (C, N) raw column of each band at the base point
     scale: np.ndarray       # (C,)
     min_gap: np.ndarray     # (C,)
     max_jump: np.ndarray    # (C,)
@@ -324,12 +303,14 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
     other. Each cell follows the rules of :func:`track_bands`. The cells
     that settle are yielded as :class:`_Tracked` groups, one per grid; a
     cell that fails is not, and ``failures[cell]`` holds its exception.
-    ``kept`` holds the previous level's samples. A first grid is split into
-    batches of at most ``_FIRST_BATCH_SAMPLES`` samples, a refined one into
-    batches of at most ``_REFINE_BATCH_SAMPLES``, unless a batch holds one cell.
+    A cell with a sample that is not finite fails on the level that
+    evaluated it. ``kept`` holds the previous level's samples. A first grid
+    is split into batches of at most ``_FIRST_BATCH_SAMPLES`` samples, a
+    refined one into batches of at most ``_REFINE_BATCH_SAMPLES``, unless a
+    batch holds one cell.
     """
-    if k < 64:
-        raise ValueError(f"need at least 64 samples, got {k}")
+    if k < _SAMPLES_MIN:
+        raise ValueError(f"need at least {_SAMPLES_MIN} samples, got {k}")
     if kept is None and len(cells) > 1 and len(cells) * (k + 1) > _FIRST_BATCH_SAMPLES:
         batch = max(1, _FIRST_BATCH_SAMPLES // (k + 1))
         for s in range(0, len(cells), batch):
@@ -344,9 +325,12 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
         raw[:, ::2] = kept
         raw[:, 1::2] = raw_at(cells[:, None], tvals[1::2])
         del kept
-    scale = 1.0 + np.abs(raw).max(axis=(1, 2))
+    scale = 1.0 + np.abs(raw).max(axis=(1, 2))     # NaN or inf where a sample is not finite
     min_gap = _pair_gaps(raw).min(axis=1)
-    on_ep = min_gap < DEGENERACY_RTOL * scale
+    finite = np.isfinite(scale)
+    for i in np.flatnonzero(~finite).tolist():
+        failures[cells[i]] = NonConvergent(f"eigenvalues are not finite at {k} samples")
+    on_ep = finite & (min_gap < DEGENERACY_RTOL * scale)
     for i in np.flatnonzero(on_ep).tolist():
         failures[cells[i]] = DegeneracyEncountered(
             f"minimum band gap {min_gap[i]:.3e} below tolerance "
@@ -354,7 +338,7 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
     # a real-part tie at the base point leaves the initial order, and any
     # crossing pinned there, ill-defined: shift the base by one grid step
     first = np.sort(raw[:, 0].real, axis=-1)
-    tie = ~on_ep & (np.diff(first, axis=-1).min(axis=-1) < 1e-9 * scale)
+    tie = finite & ~on_ep & (np.diff(first, axis=-1).min(axis=-1) < 1e-9 * scale)
     if tie.any() and nudges < 8:
         yield from _track(raw_at, cells[tie], t0 + _TWO_PI / k, k, failures, None, nudges + 1)
     elif tie.any():
@@ -362,22 +346,22 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
             failures[cells[i]] = UnresolvedCrossing(
                 f"real parts tie at the base point t={t0:.9f} after {nudges} shifts of it; "
                 f"the band order is undefined")
-    live = ~(on_ep | tie)
+    live = finite & ~(on_ep | tie)
     if not live.any():
         return
     if not live.all():
         raw, cells, scale, min_gap = raw[live], cells[live], scale[live], min_gap[live]
-    indices, bands, jumps = _match_chain(raw)
-    order, max_jump, bands = indices[:, 0].copy(), jumps.max(axis=1), bands.transpose(0, 2, 1)
+    bands, jumps = _match_chain(raw)[1:]
+    max_jump, bands = jumps.max(axis=1), bands.transpose(0, 2, 1)
     closure, closed = _closures(bands, 1e-8 * scale)
     done = closed & (max_jump < 0.5 * min_gap)
     rest = np.flatnonzero(~done)
     # what refines keeps its samples; the rest of the level is released first
     kept = raw[rest] if len(rest) and k < TRACK_SAMPLES_MAX else None
-    del raw, indices, jumps
+    del raw, jumps
     if done.any():
         sel = done if len(rest) else slice(None)
-        yield _Tracked(cells[sel], tvals, bands[sel], closure[sel], order[sel], scale[sel],
+        yield _Tracked(cells[sel], tvals, bands[sel], closure[sel], scale[sel],
                        min_gap[sel], max_jump[sel])
     del bands
     if kept is None:
@@ -393,15 +377,20 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
                           kept[s:s + batch], nudges)
 
 
+def _check_base_point(name: str, value: float) -> None:
+    if not abs(value) <= _BASE_POINT_MAX:
+        raise ValueError(f"{name} must be within +-{_BASE_POINT_MAX}, got {value!r}")
+
+
 def _track_one(spec: ModelSpec, t0: float, samples: int, radius) -> BandTrajectory:
+    _check_base_point("k0" if radius is None else "theta0", t0)
     failures: list = [None]
     for g in _track(lambda cells, t: _eig_grid(spec, t, radius), np.arange(1), float(t0),
                     int(samples), failures):
         return BandTrajectory(
             model=spec, t_grid=g.t_grid, bands=g.bands[0],
-            closure=Permutation(tuple(g.closure[0].tolist())), initial_order=g.order[0],
-            radius=radius, scale=float(g.scale[0]), min_gap=float(g.min_gap[0]),
-            max_jump=float(g.max_jump[0]))
+            closure=Permutation(tuple(g.closure[0].tolist())), radius=radius,
+            scale=float(g.scale[0]), min_gap=float(g.min_gap[0]), max_jump=float(g.max_jump[0]))
     raise failures[0]
 
 
@@ -416,8 +405,9 @@ def track_bands(spec: ModelSpec, k0: float = 0.0,
     real-part tie at the base point shifts it by one grid step, at most 8
     times. Raises :class:`DegeneracyEncountered` on (or numerically on) an
     exceptional point, :class:`RefinementExhausted` when the cap is
-    reached, and :class:`UnresolvedCrossing` when the tie survives the
-    shifts.
+    reached, :class:`UnresolvedCrossing` when the tie survives the shifts,
+    :class:`NonConvergent` on the first grid with an eigenvalue that is not
+    finite, and ``ValueError`` unless |k0| <= 1000 (``_BASE_POINT_MAX``).
     """
     return _track_one(spec, k0, samples, None)
 
@@ -427,7 +417,8 @@ def riemann_loop(spec: ModelSpec, radius: float, samples: int = TRACK_SAMPLES_DE
     """Track eigenvalues of H(z) along the circle z = radius * exp(i*theta).
 
     radius = 1 reproduces :func:`track_bands` up to sampling. The loop shows
-    which branch points in the z-plane the bands wind around.
+    which branch points in the z-plane the bands wind around. ``theta0`` is
+    bounded as ``k0`` is there.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -478,10 +469,11 @@ def _wind(det_at, n: int, samples: int, cap: int) -> list:
     cell's grid doubles, keeping its samples and evaluating only the new
     midpoints, until every phase step is below pi/4, up to ``cap`` samples.
     Per cell: ``(nu, raw, residual, samples)``, or the exception it failed
-    with (:class:`ReferenceOnBand`, :class:`NonConvergent`).
+    with (:class:`ReferenceOnBand`, :class:`NonConvergent`, the latter also
+    on the level that evaluated a determinant that is not finite).
     """
-    if samples < 64:
-        raise ValueError(f"need at least 64 samples, got {samples}")
+    if samples < _SAMPLES_MIN:
+        raise ValueError(f"need at least {_SAMPLES_MIN} samples, got {samples}")
     results: list = [None] * n
     todo = [(np.arange(n), int(samples), None)]
     while todo:
@@ -500,7 +492,9 @@ def _wind(det_at, n: int, samples: int, cap: int) -> list:
                 raws.tolist(), fines.tolist(), integrals.tolist())):
             high = 1.0 + high
             on_band, coarse = low < 1e-12 * high, not fine
-            if coarse and not on_band and k < cap:
+            if not math.isfinite(high):     # NaN or inf where a determinant is not finite
+                results[cells[i]] = NonConvergent(f"det(H - E_ref) is not finite at {k} samples")
+            elif coarse and not on_band and k < cap:
                 rest.append(i)
             elif on_band or coarse and low < 1e-4 * high:
                 # at the cap: a zero pinned between samples keeps a step near pi

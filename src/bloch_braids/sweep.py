@@ -25,7 +25,8 @@ import numpy as np
 
 from .braid import Permutation, _read_words
 from .models import ModelSpec
-from .spectrum import TRACK_SAMPLES_DEFAULT, _det_grid, _eig_grid, _track, _wind
+from .spectrum import (TRACK_SAMPLES_DEFAULT, _WINDING_SAMPLES_DEFAULT, _det_grid, _eig_grid,
+                       _track, _wind)
 
 __all__ = ["dimer_row_classify", "trimer_row_classify", "dimer_winding_row"]
 
@@ -76,6 +77,6 @@ def dimer_winding_row(alpha, beta, delta, gamma, m: int):
     varied = {name: np.broadcast_to(v, (n,)) for name, v in values.items() if v.ndim}
     results = _wind(lambda cells, t: _det_grid(spec, t, 0j, {name: v[cells]
                                                           for name, v in varied.items()}),
-                    n, 1024, 1 << 16)
+                    n, _WINDING_SAMPLES_DEFAULT, 1 << 16)
     ok = [not isinstance(res, Exception) for res in results]
     return np.array([res[0] if good else 0 for res, good in zip(results, ok)]), np.array(ok)

@@ -42,8 +42,10 @@ from .braid import (BraidWord, Permutation, _ranks, cyclic_canonical, exponent_s
 from .errors import DegenerateModel, NonConvergent, UnsupportedDegree
 from .models import (DimerParams, ModelSpec, _char_coeffs, _disc, _entries, bloch_matrix,
                      bloch_matrix_z)
-from .spectrum import (TRACK_SAMPLES_DEFAULT, _WIND_RESIDUAL, _WIND_STEP, _det_grid, _eig_grid,
-                       _pair_gaps, _roots, _wind, _winding, eigenvalues, track_bands)
+from .spectrum import (TRACK_SAMPLES_DEFAULT, _SAMPLES_MIN, _WIND_RESIDUAL, _WIND_STEP,
+                       _WINDING_SAMPLES_DEFAULT, _WINDING_SAMPLES_MAX, _check_base_point,
+                       _det_grid, _eig_grid, _pair_gaps, _roots, _wind, _winding, eigenvalues,
+                       track_bands)
 
 __all__ = [
     "discriminant",
@@ -352,11 +354,8 @@ class WindingResult:
     samples: int
 
 
-_WINDING_SAMPLES_MAX = 1 << 20
-
-
 def winding_number(spec: ModelSpec, reference_energy: complex,
-                   samples: int = 1024) -> WindingResult:
+                   samples: int = _WINDING_SAMPLES_DEFAULT) -> WindingResult:
     """Accumulated phase of det(H(k) - E_ref) over the zone, in units of 2pi.
 
     From ``samples`` (at least 64) the grid doubles until every phase step
@@ -364,7 +363,7 @@ def winding_number(spec: ModelSpec, reference_energy: complex,
     only the new midpoints. The total is then an integer to well below
     1e-6. Raises :class:`ReferenceOnBand` when the reference energy lies on
     a band (the determinant vanishes) and :class:`NonConvergent` when
-    refinement or rounding fails.
+    refinement or rounding fails, or a determinant is not finite.
     """
     e_ref = complex(reference_energy)
     res = _wind(lambda cells, t: _det_grid(spec, t, e_ref), 1, samples, _WINDING_SAMPLES_MAX)[0]
@@ -555,8 +554,8 @@ def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int,
     block, which differ in both parameters, are then tracked and read in one
     call of the family's classifier in :mod:`bloch_braids.sweep`.
     """
-    if samples < 64:    # the tracker's floor, also where no cell reaches it
-        raise ValueError(f"need at least 64 samples, got {samples}")
+    if samples < _SAMPLES_MIN:    # the tracker's floor, also where no cell reaches it
+        raise ValueError(f"need at least {_SAMPLES_MIN} samples, got {samples}")
     values = np.asarray(values, dtype=float)
     row_name, row_values = rows if rows is not None else (None, [None])
     labels: list = []
@@ -659,10 +658,11 @@ def gamma_axis_references(spec: ModelSpec, *, k0: float = np.pi / 4, coarse_step
     bisected by label instead, with a warning. Returns (gamma*, energy, band
     pair) triples in order of increasing |gamma*|; raises
     :class:`NonConvergent` when a boundary cannot be polished, and
-    ``ValueError`` unless ``coarse_steps >= 1``.
+    ``ValueError`` unless ``coarse_steps >= 1`` and |k0| <= 1000.
     """
     if spec.kind == "generic":
         raise ValueError("gamma-axis scan needs a named gamma parameter")
+    _check_base_point("k0", k0)
     if not coarse_steps >= 1:
         raise ValueError(f"need coarse_steps >= 1, got {coarse_steps}")
     g_target = spec.params.gamma
@@ -753,9 +753,12 @@ def total_braid_index(spec: ModelSpec, *, k0: float = np.pi / 4) -> BraidIndex:
 
 # -- phase diagrams -----------------------------------------------------------
 
+_AXIS_RESOLUTION_MAX = 10_000
+
+
 @dataclass(frozen=True)
 class AxisSpec:
-    """One swept parameter: inclusive range sampled at ``resolution`` points."""
+    """One swept parameter: inclusive range sampled at ``resolution`` points, 2 to 10 000."""
 
     name: str
     start: float
@@ -763,8 +766,9 @@ class AxisSpec:
     resolution: int
 
     def __post_init__(self):
-        if self.resolution < 2:
-            raise ValueError("axis needs at least 2 samples")
+        if not 2 <= self.resolution <= _AXIS_RESOLUTION_MAX:
+            raise ValueError(f"axis needs 2 to {_AXIS_RESOLUTION_MAX} samples, "
+                             f"got {self.resolution}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.resolution)
@@ -892,7 +896,7 @@ class PhaseDiagram:
 
 
 def phase_diagram(template: ModelSpec, axis1, axis2, *,
-                  k0: float = np.pi / 4, samples: int = 512,
+                  k0: float = np.pi / 4, samples: int = TRACK_SAMPLES_DEFAULT,
                   threads: int | None = None) -> PhaseDiagram:
     """Classify the braid phase on a 2-parameter grid.
 
@@ -908,8 +912,9 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     one batch; a cell where they fail is DEGENERATE. ``tracked_cells`` of
     the result counts the tracked cells, and each row logs one DEBUG record
     to the ``bloch_braids`` logger. The labels are interned after the pool,
-    so ids never depend on scheduling.
+    so ids never depend on scheduling. ``k0`` is bounded as in :func:`track_bands`.
     """
+    _check_base_point("k0", k0)
     axis1 = axis1 if isinstance(axis1, AxisSpec) else AxisSpec(*axis1)
     axis2 = axis2 if isinstance(axis2, AxisSpec) else AxisSpec(*axis2)
     if template.kind == "generic":

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -392,6 +393,86 @@ def test_cli_rejects_non_finite_axis_ends(axis1, axis2, name, trimer_file, tmp_p
     assert not out.exists()
 
 
+def _numeric_options(bounds: bool):
+    """Each numeric option of each command in ``cli._OPTIONS`` with a value to run it at:
+    its bounds (``bounds``), else NaN, +-inf and the first value past each bound. An
+    axis's number is its resolution."""
+    from bloch_braids.cli import _OPTIONS
+    cases = []
+    for command, options in _OPTIONS.items():
+        for key, (_, least, most) in options.items():
+            if bounds:
+                values = [(name, v) for name, v in (("least", least), ("most", most))
+                          if math.isfinite(v)]
+            else:
+                values = [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)]
+                if math.isfinite(least):
+                    values.append(("below", least - 1 if isinstance(least, int)
+                                   else float(np.nextafter(least, -math.inf))))
+                if math.isfinite(most):
+                    values.append(("above", most + 1 if isinstance(most, int)
+                                   else float(np.nextafter(most, math.inf))))
+            cases += [pytest.param(command, key, v, id=f"{command}-{key}-{name}")
+                      for name, v in values]
+    return cases
+
+
+def _run_option(command, key, value, tmp_path, capsys, monkeypatch):
+    """Run ``command`` on the m = 1 dimer from a config with ``key`` set to ``value`` and
+    the other options small; returns the exit status, stdout lines, stderr lines and
+    the files written."""
+    options = {"samples": 64}
+    if command == "phase-diagram":
+        options.update(axis1="beta:1.4:1.6:2", axis2="gamma:-1:1:2")
+    if key.startswith("axis"):
+        value = options[key].rsplit(":", 1)[0] + f":{value}"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"command": command, "model": DIMER, "out": "out",
+                               "options": {**options, key: value}}))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code = main(["from-config", str(cfg)])
+    captured = capsys.readouterr()
+    return code, captured.out.splitlines(), captured.err.splitlines(), list(work.iterdir())
+
+
+@pytest.mark.parametrize("command, key, value", _numeric_options(bounds=False))
+def test_cli_rejects_each_numeric_option_past_its_table_bounds(command, key, value, tmp_path,
+                                                               capsys, monkeypatch):
+    # a base point of 1e17 printed word e and exited 0, an r of 1e300 refined to the cap
+    from bloch_braids import cli
+    monkeypatch.setitem(cli._RUNNERS, command, None)    # rejected before any pipeline runs
+    code, out, err, written = _run_option(command, key, value, tmp_path, capsys, monkeypatch)
+    assert (code, out, written) == (1, [], [])
+    assert len(err) == 1 and err[0].startswith(f"error: {command} option {key}"), err
+    least, most = cli._OPTIONS[command][key][1:]
+    if math.isfinite(value) and value < least:
+        assert err[0].endswith(f" must be at least {least}, got {value}")
+    elif math.isfinite(value):
+        assert err[0].endswith(f" must be at most {most}, got {value}")
+
+
+@pytest.mark.parametrize("command, key, value", _numeric_options(bounds=True))
+def test_cli_runs_each_numeric_option_at_its_table_bounds(command, key, value, tmp_path,
+                                                          capsys, monkeypatch):
+    code, out, err, written = _run_option(command, key, value, tmp_path, capsys, monkeypatch)
+    assert (code, err) == (0, [])
+    assert len(out) == 1 and "out" in [p.name for p in written]
+
+
+def test_axis_spec_rejects_a_count_past_its_bound():
+    # 10^8 samples: values() would have allocated 800 MB before any check
+    from bloch_braids.topology import AxisSpec
+    AxisSpec("beta", 0.0, 1.0, 10_000)
+    for resolution in (1, 10_001, 10**8):
+        with pytest.raises(ValueError, match="axis"):
+            AxisSpec("beta", 0.0, 1.0, resolution)
+    with pytest.raises(ValueError, match="2 to 10000 samples, got 100000000"):
+        phase_diagram(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0), ("beta", 0.0, 1.0, 10**8),
+                      ("gamma", 0.0, 1.0, 2))
+
+
 @pytest.mark.parametrize("args, code", [
     (["bands", "--model", "MODEL", "--samples", "64.5"], 1), (["bands"], 1), (["nope"], 1),
     (["eps", "--help"], 0)], ids=["non-integer-samples", "missing-model", "unknown-command", "help"])
@@ -661,7 +742,7 @@ def _bad_configs():
             ("samples-63", {**bands, "options": {"samples": 63}},
              "bands option samples must be at least 64, got 63"),
             ("r-0", {**bands, "command": "riemann", "options": {"r": 0}},
-             "riemann option r must be positive, got 0.0"),
+             "riemann option r must be at least 0.001, got 0.0"),
             ("axis-3-parts", {**pd, "options": {**pd["options"], "axis1": "beta:0:1"}},
              "phase-diagram option axis1 must be name:start:stop:resolution, got 'beta:0:1'")]:
         cases.append(pytest.param(doc, needle, id=name))
@@ -780,9 +861,11 @@ def test_cli_phase_diagram_builds_no_phase_cell(fmt, tmp_path, capsys, monkeypat
     assert len(built) == 1      # the counter sees the views' cells
 
 
-# sha256 of stdout and of every file each shipped config writes, but the two
-# phase-diagram planes (the slabs above cover their code paths)
+# sha256 of stdout and of every file each shipped config writes
 SHIPPED_SHA256 = {
+    "fig1b": ("765c54d7d1192247c818f0a9531d6a20415af056970fb39e022f44b12575ac10",
+              {"fig1b_phase_diagram.csv":
+                   "09b9471f3161465e46409135510ab8868c33f1c79ca2afa5041da48a8bf7d180"}),
     "fig1c1": ("64b28e16d70637984cdd63c0b4e2c6be1ec77d4f1d1626115dddbfbf0dd2ce54",
                {"fig1c1_bands.csv":
                     "6fbfbb854464c7e76b5b9cdb4fc3dec2acf0c089b3debd13b36f13afbe9191db"}),
@@ -814,6 +897,9 @@ SHIPPED_SHA256 = {
                    "a2c940f55214f47ca7942beb3ecc8639ca8cbb4a6d6bd68724f94fcd2453d209",
                "fig2d_loops.csv.eps.json":
                    "4284fc0107aa1a082bb0ac533d6ae486eaa9720e1572a8cae6034103ca94b02d"}),
+    "fig3b": ("48111ebde01823e2280ed282684dcfe1caf7336c513bea9b127707ff7e6b114d",
+              {"fig3b_phase_diagram.csv":
+                   "935efbfda972d0bcce53e56ea06098311e9076ec26c7e044fd495a5ddaa5896c"}),
     "fig3d": ("0eb98b7a3d69997a58b0ee6c2bde9ff7c285c6cbe55eb6e5bdc056e64206b82a",
               {"fig3d_bands.csv":
                    "59d5177758926dc9d49e98441203327c4d615b53fbdce39024ce762de952df3f"}),
@@ -850,9 +936,8 @@ SHIPPED_SHA256 = {
 }
 
 
-def test_shipped_digests_cover_every_small_config():
-    assert sorted(SHIPPED_SHA256) == sorted(p.stem for p in FIGS
-                                            if p.stem not in ("fig1b", "fig3b"))
+def test_shipped_digests_cover_every_config():
+    assert sorted(SHIPPED_SHA256) == sorted(p.stem for p in FIGS)
 
 
 @pytest.mark.parametrize("stem", sorted(SHIPPED_SHA256))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from bloch_braids import (DimerParams, ModelSpec, TrimerParams, bloch_matrix,
-                          bloch_matrix_z, characteristic_coefficients,
-                          dimer_hamiltonian, model_from_json, model_to_json,
-                          trimer_hamiltonian)
+                          bloch_matrix_z, characteristic_coefficients, model_from_json,
+                          model_to_json)
 from bloch_braids.errors import ZeroModulus
 from bloch_braids.models import _char_coeffs, _entries
 from conftest import random_dimer, random_trimer
@@ -14,13 +13,13 @@ from conftest import random_dimer, random_trimer
 
 def test_dimer_matrix_k0():
     p = DimerParams(1.0, 1.5, 0.3, 1.0, 1)
-    h = dimer_hamiltonian(p, 0.0).entries
+    h = bloch_matrix(ModelSpec("dimer", p), 0.0).entries
     np.testing.assert_allclose(h, [[1j, 2.5], [2.5, -1j]], atol=1e-15)
 
 
 def test_dimer_matrix_kpi():
     p = DimerParams(1.0, 1.5, 0.3, 1.0, 1)
-    h = dimer_hamiltonian(p, np.pi).entries
+    h = bloch_matrix(ModelSpec("dimer", p), np.pi).entries
     np.testing.assert_allclose(h, [[1j, -0.5], [-0.5, -1j]], atol=1e-12)
 
 
@@ -28,7 +27,7 @@ def test_dimer_matrix_m2_quarter_pi():
     # m=2, k=pi/4: diagonal 2*0.3*sin(pi/2) + i = 0.6 + i,
     # off-diagonals 1 + 1.5*exp(-/+ i pi/2) = 1 -/+ 1.5i
     p = DimerParams(1.0, 1.5, 0.3, 1.0, 2)
-    h = dimer_hamiltonian(p, np.pi / 4).entries
+    h = bloch_matrix(ModelSpec("dimer", p), np.pi / 4).entries
     np.testing.assert_allclose(h[0, 0], 0.6 + 1j, atol=1e-14)
     np.testing.assert_allclose(h[0, 1], 1.0 - 1.5j, atol=1e-14)
     np.testing.assert_allclose(h[1, 0], 1.0 + 1.5j, atol=1e-14)
@@ -37,7 +36,7 @@ def test_dimer_matrix_m2_quarter_pi():
 
 def test_trimer_matrix_k0():
     p = TrimerParams(1.0, 1.2, 0.3, 0.7, 0.7, 1)
-    h = trimer_hamiltonian(p, 0.0).entries
+    h = bloch_matrix(ModelSpec("trimer", p), 0.0).entries
     np.testing.assert_allclose(h, [[0.7j, 1.0, 1.2],
                                    [1.0, 0.7, 1.0],
                                    [1.2, 1.0, -0.7j]], atol=1e-15)
@@ -45,7 +44,7 @@ def test_trimer_matrix_k0():
 
 def test_trimer_matrix_kpi():
     p = TrimerParams(1.0, 1.2, 0.3, 0.7, 0.7, 1)
-    h = trimer_hamiltonian(p, np.pi).entries
+    h = bloch_matrix(ModelSpec("trimer", p), np.pi).entries
     np.testing.assert_allclose(h[0, 0], 0.7j, atol=1e-12)
     np.testing.assert_allclose(h[0, 2], -1.2, atol=1e-12)
     np.testing.assert_allclose(h[2, 0], -1.2, atol=1e-12)
@@ -53,7 +52,7 @@ def test_trimer_matrix_kpi():
 
 def test_trimer_matrix_quarter_pi():
     p = TrimerParams(1.0, 1.2, 0.3, 0.7, 0.7, 1)
-    h = trimer_hamiltonian(p, np.pi / 4).entries
+    h = bloch_matrix(ModelSpec("trimer", p), np.pi / 4).entries
     np.testing.assert_allclose(h[0, 0], -0.6 + 0.7j, atol=1e-14)
     np.testing.assert_allclose(h[0, 2], 1.2 * np.exp(-1j * np.pi / 4), atol=1e-14)
 

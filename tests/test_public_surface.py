@@ -111,3 +111,35 @@ def test_json_documents_are_read_in_one_place():
                             sorted(Path(bloch_braids.__file__).parent.glob("*.py"))))
     assert "models.py:model_from_json" in callers and "cli.py:run" in callers
     assert {c for c in callers if not c.startswith("cli.py:")} == {"models.py:model_from_json"}
+
+
+def test_each_object_has_one_public_name():
+    # second names of one object, and a field nothing read; the JSON outputs
+    # keep their keys k_grid and closure_permutation
+    from dataclasses import fields
+
+    from bloch_braids.spectrum import BandTrajectory, _Tracked
+    modules = [bloch_braids] + [importlib.import_module(f"bloch_braids.{info.name}")
+                                for info in pkgutil.iter_modules(bloch_braids.__path__)]
+    for name in ("dimer_hamiltonian", "trimer_hamiltonian", "BandSample", "sample_bands"):
+        assert not any(hasattr(m, name) or name in getattr(m, "__all__", ()) for m in modules)
+    for name in ("k_grid", "closure_permutation", "initial_order"):
+        assert not hasattr(BandTrajectory, name) and name not in bloch_braids.__all__
+    assert "initial_order" not in {f.name for f in fields(BandTrajectory)}
+    assert "order" not in {f.name for f in fields(_Tracked)}
+
+
+def test_sample_counts_are_written_once():
+    # the sample defaults and the floor are named constants; a literal 64, 512 or
+    # 1024 elsewhere in the code restates one of them
+    named = {"TRACK_SAMPLES_DEFAULT", "_SAMPLES_MIN", "_WINDING_SAMPLES_DEFAULT"}
+    found = []
+    for path in sorted(Path(bloch_braids.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = {id(node) for assign in ast.walk(tree) if isinstance(assign, ast.Assign)
+                and {getattr(t, "id", None) for t in assign.targets} <= named
+                for node in ast.walk(assign.value)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is int
+                  and node.value in (64, 512, 1024) and id(node) not in skip]
+    assert found == []

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from bloch_braids import (DimerParams, ModelSpec, bloch_matrix, dimer_bands_analytic,
-                          eigenvalues, riemann_loop, sample_bands, solve_cubic,
-                          track_bands)
+                          eigenvalues, riemann_loop, solve_cubic, track_bands)
 from bloch_braids.errors import (DegenerateCrossing, DegeneracyEncountered, RefinementExhausted,
                                  UnresolvedCrossing)
 from bloch_braids.models import _char_coeffs, _entries, characteristic_coefficients
@@ -277,16 +276,66 @@ def test_eigenvalues_four_bands_general_path():
 
 # -- tracking -----------------------------------------------------------------
 
-def test_sample_bands_matches_matrix_eigenvalues():
+def test_eig_grid_matches_matrix_eigenvalues():
     rng = np.random.default_rng(51)
     for _ in range(20):
         spec = random_dimer(rng) if rng.random() < 0.5 else random_trimer(rng)
         k = rng.uniform(0, 2 * np.pi)
-        sample = sample_bands(spec, k)
-        assert sample.n_bands == spec.n_bands
-        mine = sorted_c(sample.energies)
+        energies = _eig_grid(spec, np.array([k]))[0]
+        assert len(energies) == spec.n_bands
+        mine = sorted_c(energies)
         oracle = sorted_c(np.linalg.eigvals(bloch_matrix(spec, k).entries))
         assert np.abs(mine - oracle).max() < 1e-10
+
+
+@pytest.mark.parametrize("route", ["riemann", "winding"])
+def test_non_finite_samples_fail_on_the_first_level(route, monkeypatch):
+    # riemann at r = 1e300 doubled to 65536 samples and raised RefinementExhausted
+    # (max jump nan); winding at E_ref = 1e200 doubled to 2^20 samples
+    from bloch_braids import spectrum, topology, winding_number
+    from bloch_braids.errors import NonConvergent
+    owner, name = (spectrum, "_eig_grid") if route == "riemann" else (topology, "_det_grid")
+    evaluate, calls = getattr(owner, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    with np.errstate(all="ignore"), pytest.raises(NonConvergent, match="not finite at 64 "):
+        if route == "riemann":
+            riemann_loop(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0), 1e300, samples=64)
+        else:
+            winding_number(ModelSpec.trimer(1.0, -1.2, 0.3, 0.7, 0.7), 1e200, samples=64)
+    assert [len(t) for t in calls] == [65]
+
+
+def test_an_infinite_sample_is_not_read_as_an_exceptional_point():
+    # the scale is inf there, so any finite gap lies below DEGENERACY_RTOL * scale
+    from bloch_braids.errors import NonConvergent
+    from bloch_braids.spectrum import _track
+
+    def raw_at(cells, t):
+        z = np.exp(1j * t) + 0 * cells
+        return np.stack([z, z + 2.0, np.where(t > 3.0, np.inf, z + 4.0)], axis=-1)
+
+    failures = [None]
+    assert list(_track(raw_at, np.arange(1), 0.0, 64, failures)) == []
+    assert isinstance(failures[0], NonConvergent), failures
+
+
+def test_a_non_finite_cell_fails_alone_in_its_batch():
+    from bloch_braids.errors import NonConvergent
+    from bloch_braids.sweep import dimer_row_classify, dimer_winding_row
+    spec = ModelSpec.dimer(1.0, 1.5, 0.3, 1.0)
+    gammas = np.array([0.2, 1e300, 0.7])
+    with np.errstate(all="ignore"):
+        row = dimer_row_classify(spec, {"gamma": gammas}, k0=PI4)
+        nu, ok = dimer_winding_row(1.0, 1.5, 0.3, gammas, 1)
+    assert isinstance(row[1], NonConvergent) and "not finite at 512 samples" in str(row[1])
+    assert [row[0], row[2]] == dimer_row_classify(spec, {"gamma": gammas[[0, 2]]}, k0=PI4)
+    assert ok.tolist() == [True, False, True]
+    assert nu[[0, 2]].tolist() == dimer_winding_row(1.0, 1.5, 0.3, gammas[[0, 2]], 1)[0].tolist()
 
 
 def test_track_dimer_swap_closure(fig1_dimer):

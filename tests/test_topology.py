@@ -478,6 +478,44 @@ def test_disc_count_equals_exponent_sum_on_configs():
         assert np.abs(np.abs(zeros) - 1.0).min() < 1e-12, name
 
 
+def test_disc_count_equals_braid_index_on_configs():
+    # the total winding index and the discriminant count share no code path
+    from bloch_braids.topology import _disc_count
+    models = _config_models({"bands", "braid", "riemann"})
+    assert len(models) == 18
+    for name, (spec, _) in models.items():
+        assert total_braid_index(spec).nu == _disc_count(spec), name
+
+
+@pytest.mark.parametrize("k0", [1000.0, -1000.0])
+def test_base_point_at_the_bound_reads_as_its_reduction(k0):
+    # at 1e17 the grid k0 + linspace(0, 2pi, k + 1) lost its step: word e, nu -1
+    from bloch_braids import extract_braid_word, track_bands
+    models = _config_models({"braid"})
+    assert len(models) == 8
+    for name, (spec, _) in models.items():
+        seen = []
+        for base in (k0, k0 % (2 * np.pi)):
+            traj = track_bands(spec, base)
+            seen.append((extract_braid_word(traj), traj.closure,
+                         total_braid_index(spec, k0=base).nu))
+        assert seen[0] == seen[1], name
+
+
+@pytest.mark.parametrize("k0", [np.nextafter(1000.0, np.inf), -1e17, np.nan, np.inf])
+def test_base_point_past_the_bound_is_rejected(k0):
+    from bloch_braids import riemann_loop, track_bands
+    dimer = ModelSpec.dimer(1.0, 1.5, 0.3, 1.0)
+    trimer = ModelSpec.trimer(1.0, -1.2, 0.3, 0.7, 0.7)
+    for call in (lambda: track_bands(dimer, k0), lambda: riemann_loop(dimer, 0.9, theta0=k0),
+                 lambda: phase_diagram(dimer, ("beta", 1.4, 1.6, 2), ("gamma", -1.0, 1.0, 2),
+                                       k0=k0),
+                 lambda: gamma_axis_references(trimer, k0=k0),
+                 lambda: total_braid_index(trimer, k0=k0)):
+        with pytest.raises(ValueError, match=r"must be within \+-1000\.0"):
+            call()
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_disc_count_equals_exponent_sum_on_fig3b_rows(m):
     from bloch_braids import exponent_sum
