@@ -5,9 +5,13 @@ n (1-based, n < N) twists the strands currently ranked n and n+1 by real
 part. The text form is compact: lowercase ``t2`` is a positive generator,
 uppercase ``T2`` its inverse, and the empty word prints ``e``.
 
-Words are read off tracked bands by one crossing reader, written for a
-batch of trajectories; :func:`extract_braid_word` is its one-trajectory
-case. Only free reduction (cancelling adjacent inverse pairs) is
+Words are read off tracked bands by one crossing reader in two parts: a
+step finder that lists, per tracked grid, the steps where the real-part
+order of the bands changes, and a resolver that localises and signs the
+crossings of any number of such steps in one pass, whatever cells and grids
+they come from. :func:`extract_braid_word` is its one-trajectory case; a
+phase diagram resolves the steps of a whole block of cells at once. Only
+free reduction (cancelling adjacent inverse pairs) is
 implemented; words that differ by the full braid relations are not
 identified. Phase classification therefore keys on the cyclically reduced
 word together with the exponent sum and the closure permutation.
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -241,6 +246,14 @@ def words_cyclic_equal(a: BraidWord, b: BraidWord) -> bool:
 _BISECTION_WIDTH = 2.0 * np.pi * 1e-6   # letter sign is read at the crossing
 _SUBDIVIDE_FLOOR = 2.0 * np.pi * 1e-9   # below this, coincident crossings
 _PERMS = {n: np.array(list(itertools.permutations(range(n)))) for n in (2, 3)}
+# The most points one kernel call of the resolver evaluates, and the most
+# pending steps a phase-diagram block collects before it resolves them. Every
+# stage of the resolver is elementwise per crossing, but numpy evaluates an
+# operation on a temporary of 256 KiB (16 384 complex values) or more in
+# place, with different rounding; below that a crossing reads the same bits
+# in a pass of any size. It also bounds a large block's memory.
+_CROSSING_BATCH = 8192
+_LOG = logging.getLogger(__name__)
 
 
 def _below(values: np.ndarray) -> list[np.ndarray]:
@@ -298,26 +311,48 @@ def _match(reference: np.ndarray, raw: np.ndarray):
     return _PERMS[n], choice, jumps
 
 
-def _read_words(t_grid: np.ndarray, bands: np.ndarray, scale: np.ndarray, raw_at) -> list:
-    """Braid words of a batch of trajectories tracked on one grid.
+def _crossing_steps(t_grid: np.ndarray, bands: np.ndarray, cells: np.ndarray):
+    """The grid steps over which the real-part order of tracked bands changes.
 
-    ``bands`` has shape (cells, N, T) and ``scale`` one entry per cell;
-    ``raw_at(cells, t)`` gives the unordered eigenvalues (E, N) of the
-    cells at loop parameters t (two arrays of length E). All crossings pass
-    each stage below together, one ``raw_at`` call per step. A cell whose
-    reading fails gets the exception of its first failing crossing instead.
+    ``bands`` has shape (C, N, T): the bands of C cells on ``t_grid``, whose
+    ids are ``cells``. Returns ``(cell, tl, tr, el, er)``, one entry per
+    step: the cell's id, the step's ends, and the bands at each end (shape
+    (steps, N)). Steps of several grids, concatenated, are resolved in one
+    pass of :func:`_resolve_crossings`.
     """
-    n_cells, n, _ = bands.shape
     changes = [below[:, 1:] != below[:, :-1] for below in _below(bands.transpose(0, 2, 1))]
-    cell, step = np.nonzero(functools.reduce(np.logical_or, changes))
-    tl, tr = t_grid[step], t_grid[step + 1]
-    el, er = bands[cell, :, step], bands[cell, :, step + 1]
-    found: list[list] = [[] for _ in range(n_cells)]
+    at, step = np.nonzero(functools.reduce(np.logical_or, changes))
+    return cells[at], t_grid[step], t_grid[step + 1], bands[at, :, step], bands[at, :, step + 1]
+
+
+def _resolve_crossings(cells: np.ndarray, steps, scale: np.ndarray, raw_at) -> list:
+    """Braid words of ``cells`` read off their steps in one pass.
+
+    ``steps`` is ``(cell, tl, tr, el, er)`` as :func:`_crossing_steps`
+    returns it, for any number of cells and grids; ``scale[c]`` is the band
+    scale of cell c, and ``raw_at(cell, t)`` gives the unordered eigenvalues
+    (E, N) of cells at loop parameters t (two arrays of length E). All
+    crossings pass each stage below together, in ``raw_at`` calls of at
+    most ``_CROSSING_BATCH`` points. Returns one word per entry of
+    ``cells``; a cell whose reading fails gets the exception of its first
+    failing crossing instead. Logs one DEBUG record per pass.
+    """
+    cell, tl, tr, el, er = steps
+    n = el.shape[-1]
+    found: dict = {c: [] for c in cells.tolist()}
+    calls = points = rounds = 0
 
     def at(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        raw = raw_at(cell[s], t)
-        perms, choice, _ = _match(el[s], raw)
-        return np.take_along_axis(raw, perms[choice], -1)
+        nonlocal calls, points
+        out = np.empty((len(s), n), dtype=complex)
+        for i in range(0, len(s), _CROSSING_BATCH):
+            part = s[i:i + _CROSSING_BATCH]
+            raw = raw_at(cell[part], t[i:i + _CROSSING_BATCH])
+            perms, choice, _ = _match(el[part], raw)
+            out[i:i + _CROSSING_BATCH] = np.take_along_axis(raw, perms[choice], -1)
+            calls += 1
+        points += len(s)
+        return out
 
     # a step whose ends differ by more than one swap of adjacent ranks is
     # halved until each part holds one; parts that hold none drop out
@@ -335,6 +370,7 @@ def _read_words(t_grid: np.ndarray, bands: np.ndarray, scale: np.ndarray, raw_at
         s = np.flatnonzero(split & (tr - tl >= _SUBDIVIDE_FLOOR))
         if not len(s):
             break
+        rounds += 1
         tm = 0.5 * (tl[s] + tr[s])
         em = at(s, tm)
         cell = np.tile(cell[s], 2)
@@ -376,9 +412,11 @@ def _read_words(t_grid: np.ndarray, bands: np.ndarray, scale: np.ndarray, raw_at
         else:
             item = (int(low[i]) + 1, 1 if im > 0 else -1)
         found[cell[i]].append((key[i], item))
+    _LOG.debug("crossing pass: %d crossings read, %d subdivision rounds, %d kernel calls, "
+               "%d points", len(every), rounds, calls, points)
 
     words = []
-    for items in found:
+    for items in found.values():
         items.sort(key=lambda item: item[0])
         errors = [x for _, x in items if isinstance(x, Exception)]
         words.append(errors[0] if errors else BraidWord(tuple(x for _, x in items), n))
@@ -395,15 +433,18 @@ def extract_braid_word(trajectory) -> BraidWord:
     ``trajectory.evaluate_raw``, one call with an array of loop parameters
     per step, and the sign is read there: +1 when the strand that was
     upper in real part lies above in imaginary part at the crossing, -1
-    otherwise. This convention makes the exponent sum of the
+    otherwise. This is the one-cell case of the reader that a phase
+    diagram runs once over the crossings of a whole block of cells. This convention makes the exponent sum of the
     word coincide with the spectral winding index.
 
     Raises :class:`DegenerateCrossing` when a crossing has both parts equal
     (an exceptional point) and :class:`UnresolvedCrossing` when two
     crossings cannot be separated.
     """
-    word, = _read_words(trajectory.t_grid, np.asarray(trajectory.bands)[None],
-                        np.array([trajectory.scale]), lambda cells, t: trajectory.evaluate_raw(t))
+    cells = np.zeros(1, dtype=np.intp)
+    steps = _crossing_steps(trajectory.t_grid, np.asarray(trajectory.bands)[None], cells)
+    word, = _resolve_crossings(cells, steps, np.array([trajectory.scale]),
+                               lambda cell, t: trajectory.evaluate_raw(t))
     if isinstance(word, Exception):
         raise word
     return word

@@ -317,14 +317,16 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
             yield from _track(raw_at, cells[s:s + batch], t0, k, failures, None, nudges)
         return
     tvals = t0 + np.linspace(0.0, _TWO_PI, k + 1)
-    if kept is None:
-        raw = raw_at(cells[:, None], tvals).reshape(len(cells), k + 1, -1)
-    else:
-        # the previous level's samples are the even points of this grid
-        raw = np.empty((len(cells), k + 1, kept.shape[-1]), dtype=complex)
-        raw[:, ::2] = kept
-        raw[:, 1::2] = raw_at(cells[:, None], tvals[1::2])
-        del kept
+    # a sample that overflows fails its cell below, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kept is None:
+            raw = raw_at(cells[:, None], tvals).reshape(len(cells), k + 1, -1)
+        else:
+            # the previous level's samples are the even points of this grid
+            raw = np.empty((len(cells), k + 1, kept.shape[-1]), dtype=complex)
+            raw[:, ::2] = kept
+            raw[:, 1::2] = raw_at(cells[:, None], tvals[1::2])
+            del kept
     scale = 1.0 + np.abs(raw).max(axis=(1, 2))     # NaN or inf where a sample is not finite
     min_gap = _pair_gaps(raw).min(axis=1)
     finite = np.isfinite(scale)
@@ -479,11 +481,13 @@ def _wind(det_at, n: int, samples: int, cap: int) -> list:
     while todo:
         cells, k, kept = todo.pop()
         tvals = np.linspace(0.0, _TWO_PI, k + 1)
-        if kept is None:
-            det = det_at(cells[:, None], tvals).reshape(len(cells), k + 1)
-        else:   # the previous level's determinants are the even points of this grid
-            det = np.empty((len(cells), k + 1), dtype=complex)
-            det[:, ::2], det[:, 1::2] = kept, det_at(cells[:, None], tvals[1::2])
+        # a determinant that overflows fails its cell below, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kept is None:
+                det = det_at(cells[:, None], tvals).reshape(len(cells), k + 1)
+            else:   # the previous level's determinants are the even points of this grid
+                det = np.empty((len(cells), k + 1), dtype=complex)
+                det[:, ::2], det[:, 1::2] = kept, det_at(cells[:, None], tvals[1::2])
         mags = np.abs(det)
         nus, raws, fines, integrals = _winding(det)
         rest = []

@@ -9,10 +9,11 @@ neither B_2 gate settles (their discriminant winding does not fix their
 label on the tracker's first grid); the rest of a dimer row never reaches
 this module. A batch is tracked by the batched tracker behind
 :func:`bloch_braids.spectrum.track_bands`, in batches capped in samples,
-and read by the batched crossing reader behind
-:func:`bloch_braids.braid.extract_braid_word`, with the model kernel
-evaluated on (cells, samples) parameter arrays, so each cell meets exactly
-the rules of the one-cell path. A cell that fails (on an
+which settle in groups, one per grid. The crossing steps of all the groups
+are then resolved together, in one pass of the crossing reader behind
+:func:`bloch_braids.braid.extract_braid_word` per 8192 steps, not one per
+group. The model kernel is evaluated on per-cell parameter arrays, so each
+cell meets exactly the rules of the one-cell path. A cell that fails (on an
 exceptional point, at the refinement cap, at a degenerate or an unresolved
 crossing) gets its exception as its result. :func:`dimer_winding_row` winds
 det(H) over a row of dimer cells, as an independent check, through
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .braid import Permutation, _read_words
+from . import braid
 from .models import ModelSpec
 from .spectrum import (TRACK_SAMPLES_DEFAULT, _WINDING_SAMPLES_DEFAULT, _det_grid, _eig_grid,
                        _track, _wind)
@@ -39,6 +40,9 @@ def dimer_row_classify(spec: ModelSpec, cells, *, k0: float,
     The other parameters are the spec's, shared by all cells (the kernel
     evaluates them per sample, not per cell). Returns, per cell,
     ``(word, closure permutation)`` or the tracking error it failed with.
+    The crossing steps of the tracker's groups are held until they number
+    ``braid._CROSSING_BATCH`` or the tracker is done, then resolved in one
+    pass: a block pays each stage of the resolver once, not once per group.
     """
     cells = {name: np.asarray(v, dtype=float) for name, v in cells.items()}
 
@@ -47,11 +51,25 @@ def dimer_row_classify(spec: ModelSpec, cells, *, k0: float,
 
     n = len(next(iter(cells.values())))
     results: list = [None] * n   # the tracker puts each failing cell's exception here
+    scale = np.empty(n)
+    pending: list = []           # (cells, closures, *steps) of each group not read yet
+
+    def read_pending():
+        ids, closures, *steps = (np.concatenate(parts) for parts in zip(*pending))
+        words = braid._resolve_crossings(ids, steps, scale, raw_at)
+        for cell, word, image in zip(ids.tolist(), words, closures.tolist()):
+            results[cell] = (word if isinstance(word, Exception) else
+                             (word, braid.Permutation(image)))
+        pending.clear()
+
     for group in _track(raw_at, np.arange(n), float(k0), int(samples), results):
-        words = _read_words(group.t_grid, group.bands, group.scale,
-                            lambda at, t: raw_at(group.cells[at], t))
-        for cell, word, image in zip(group.cells.tolist(), words, group.closure.tolist()):
-            results[cell] = word if isinstance(word, Exception) else (word, Permutation(image))
+        scale[group.cells] = group.scale
+        pending.append((group.cells, group.closure,
+                        *braid._crossing_steps(group.t_grid, group.bands, group.cells)))
+        if sum(len(p[2]) for p in pending) >= braid._CROSSING_BATCH:
+            read_pending()
+    if pending:
+        read_pending()
     return results
 
 

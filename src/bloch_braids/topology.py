@@ -551,8 +551,9 @@ def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int,
     degenerate or unresolved crossing) gets the exception it failed with.
     The braid group of two bands is Abelian, so each dimer row is first
     gated on its own (:func:`_gate`); the cells the gates leave in the whole
-    block, which differ in both parameters, are then tracked and read in one
-    call of the family's classifier in :mod:`bloch_braids.sweep`.
+    block, which differ in both parameters, are then tracked in one call of
+    the family's classifier in :mod:`bloch_braids.sweep`, which resolves the
+    crossings of all of them in one pass of the crossing reader.
     """
     if samples < _SAMPLES_MIN:    # the tracker's floor, also where no cell reaches it
         raise ValueError(f"need at least {_SAMPLES_MIN} samples, got {samples}")
@@ -908,10 +909,13 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     labelled by :func:`_classify`: a dimer cell whose discriminant winding
     is well conditioned on the tracker's first grid from that winding alone,
     row by row, and every other cell of the block by the rules of
-    :func:`track_bands` and :func:`extract_braid_word`, tracked and read as
-    one batch; a cell where they fail is DEGENERATE. ``tracked_cells`` of
+    :func:`track_bands` and :func:`extract_braid_word`, tracked as one batch
+    and read as one batch: the crossings of every tracked cell of the block
+    are resolved in one pass (a pass per 8192 crossing steps on larger
+    blocks); a cell where they fail is DEGENERATE. ``tracked_cells`` of
     the result counts the tracked cells, and each row logs one DEBUG record
-    to the ``bloch_braids`` logger. The labels are interned after the pool,
+    to the ``bloch_braids`` logger, each crossing pass one to its child
+    ``bloch_braids.braid``. The labels are interned after the pool,
     so ids never depend on scheduling. ``k0`` is bounded as in :func:`track_bands`.
     """
     _check_base_point("k0", k0)

@@ -323,6 +323,24 @@ def test_cli_rejects_non_finite_options(args, dimer_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_overflow_prints_only_its_numerical_failure(tmp_path):
+    # the overflow printed two numpy RuntimeWarning lines before the failure;
+    # run as a process, so stderr is what a shell sees
+    import os
+    import subprocess
+    import sys
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "bloch_braids.cli", "winding", "--model",
+                           str(MODELS / "trimer_fig4a.json"), "--eref", "1e200", "--out",
+                           str(tmp_path / "w.json")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "numerical failure: NonConvergent: det(H - E_ref) is not finite at 1024 samples"]
+
+
 @pytest.mark.parametrize("eref", ["1,2,3", "0.5,0.1,junk"])
 def test_cli_rejects_eref_with_extra_parts(eref, dimer_file, tmp_path, capsys):
     # the parts after the second were dropped, and the run exited 0

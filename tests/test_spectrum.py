@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -302,7 +303,9 @@ def test_non_finite_samples_fail_on_the_first_level(route, monkeypatch):
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
-    with np.errstate(all="ignore"), pytest.raises(NonConvergent, match="not finite at 64 "):
+    # the overflow is the cell's failure, not a warning as well
+    with warnings.catch_warnings(), pytest.raises(NonConvergent, match="not finite at 64 "):
+        warnings.simplefilter("error")
         if route == "riemann":
             riemann_loop(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0), 1e300, samples=64)
         else:

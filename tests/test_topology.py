@@ -828,6 +828,64 @@ def test_row_engine_agrees_with_scalar_classifier(row, fig1_dimer, fig3_trimer):
     assert counts["failed"] >= (1 if kind == "dimer" else 0)
 
 
+@pytest.mark.parametrize("cap", [None, 1])
+def test_block_pass_reads_as_the_one_cell_path(cap, monkeypatch):
+    # the crossings of every tracker group of a batch are resolved together: each
+    # cell reads as track_bands and extract_braid_word read it, whether the groups
+    # share one pass or (with the pending-step cap at 1) each is read on its own.
+    # The batch holds the fig3b row beta = -0.15 (gamma = 0.78 refines to 2048
+    # samples, gamma = 0.6 ends at the refinement cap), a cell on an exceptional
+    # point, two diagonal cells whose real parts tie at k0, which nudge it, and a
+    # cell of negative gain-loss, whose letters are read wrong on the others' bands
+    from bloch_braids import braid, extract_braid_word, sweep, track_bands
+    if cap is not None:
+        monkeypatch.setattr(braid, "_CROSSING_BATCH", cap)
+    grids, passes, points = set(), [], []
+    track, resolve, eig_grid = sweep._track, braid._resolve_crossings, sweep._eig_grid
+
+    def tracked(*args):
+        for group in track(*args):
+            grids.add((len(group.t_grid) - 1, float(group.t_grid[0]) != PI4))
+            yield group
+
+    def resolved(cells, *args):
+        passes.append(len(cells))
+        return resolve(cells, *args)
+
+    def evaluated(spec, t, radius=None, values=None):
+        shape = np.broadcast_shapes(np.shape(t), *(np.shape(v) for v in values.values()))
+        if len(shape) == 1:     # the resolver's calls; the tracker's are (cells, points)
+            points.append(shape[0])
+        return eig_grid(spec, t, radius, values)
+
+    monkeypatch.setattr(sweep, "_track", tracked)
+    monkeypatch.setattr(braid, "_resolve_crossings", resolved)
+    monkeypatch.setattr(sweep, "_eig_grid", evaluated)
+    gammas = np.linspace(0.02, 1.0, 50).tolist()
+    cells = [(1.0, -0.15, g, 0.7) for g in gammas] + [(1.0, -1.0, 0.6, 0.7)] + [
+        (0.0, 0.0, g, -0.6) for g in (0.2, 0.5)] + [(1.0, 1.2, -0.7, 0.7)]
+    results = sweep.trimer_row_classify(
+        ModelSpec.trimer(1.0, 1.0, 0.3, 0.1, 0.7),
+        dict(zip(("alpha", "beta", "gamma", "v"), np.array(cells).T)), k0=PI4)
+    assert {(512, False), (2048, False), (512, True)} <= grids
+    if cap is None:
+        assert len(passes) == 1 and max(points) > 1
+    else:   # the groups read one by one, one point per kernel call
+        assert len(passes) >= 3 and max(points) == 1
+    failed = set()
+    for (alpha, beta, gamma, v), res in zip(cells, results):
+        spec = ModelSpec.trimer(alpha, beta, 0.3, gamma, v)
+        try:
+            traj = track_bands(spec, PI4)
+            expected = (extract_braid_word(traj), traj.closure)
+        except TRACK_ERRORS as exc:
+            failed.add(type(exc))
+            assert type(res) is type(exc), spec
+            continue
+        assert res == expected, spec
+    assert failed == {DegeneracyEncountered, RefinementExhausted}
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_dimer_fast_path_agrees_with_tracker(m):
     # a fig1b slab over both exceptional lines, with cells on each line and
@@ -929,12 +987,17 @@ def test_phase_diagram_labels_do_not_depend_on_the_blocks(template, axis1, axis2
         assert ("DEGENERATE", None, None) in pd.labels
 
 
-def test_tracker_batches_stay_within_the_sample_caps(monkeypatch):
+def test_tracker_batches_stay_within_the_sample_caps(monkeypatch, caplog):
     # cells of different rows share tracker batches, so the caps, not the size of a
     # block, must bound what one raw evaluation asks for: a first grid of at most
     # 2^15 samples (63 cells at 513), a refined grid of at most 2^16 (one cell at the
-    # 65536 cap); past them a worker's resident memory grows with the block
-    from bloch_braids import sweep
+    # 65536 cap); past them a worker's resident memory grows with the block. The
+    # crossing resolver's calls (1-D) stay within 8192 points, and on the trimer plane
+    # number those of one pass over the block's five tracker groups, not those of a
+    # pass per group (57 calls)
+    import math
+    from bloch_braids import braid, sweep
+    caplog.set_level("DEBUG", logger="bloch_braids")
     calls = []
     eig_grid = sweep._eig_grid
 
@@ -949,8 +1012,19 @@ def test_tracker_batches_stay_within_the_sample_caps(monkeypatch):
                ("gamma", -3.0, 3.0, 600))]
     for template, axis1, axis2 in planes:
         calls.clear()
+        caplog.clear()
         phase_diagram(template, axis1, axis2, threads=1)
         grids = [shape for shape in calls if len(shape) == 2]   # (cells, points) of the tracker
+        resolver = [points for points, in (shape for shape in calls if len(shape) == 1)]
+        assert resolver and max(resolver) <= braid._CROSSING_BATCH
+        passes = [r.args for r in caplog.records if r.name == "bloch_braids.braid"]
+        # (crossings, subdivision rounds, kernel calls, points) of each pass
+        assert sum(p[2] for p in passes) == len(resolver)
+        assert sum(p[3] for p in passes) == sum(resolver)
+        if template.kind == "trimer":
+            (crossings, rounds, kernel_calls, _), = passes
+            bisections = math.ceil(math.log2(2.0 * np.pi / 512 / braid._BISECTION_WIDTH))
+            assert crossings > 100 and kernel_calls <= rounds + 8 + bisections + 1
         # a first grid has samples + 1 points; a refinement evaluates the k midpoints
         # of a 2k + 1 grid
         first = [(cells, points) for cells, points in grids if points % 2]
