@@ -67,16 +67,18 @@ def _require_finite(**fields: float) -> None:
 
 
 # The largest neighbour order m. Every command's work grows with m: a trimer at
-# m = 32 takes about 1.5 s in eps and 36 s in total_braid_index on 2 CPUs, and
-# m = 10^6 asks numpy for terabytes. The shipped models use m <= 3.
+# m = 32 takes about 1 s in eps, which factors its discriminant in z, and 2 s
+# in total_braid_index, whose count factors it in w = z^m, on 2 CPUs; m = 10^6
+# asks numpy for terabytes. The shipped models use m <= 3.
 _M_MAX = 32
 
 
 def _check_params(p) -> None:
     """``__post_init__`` of the dimer and trimer parameters: finite numbers and
     an integral neighbour order ``m`` in [1, ``_M_MAX``], stored as an int."""
-    _require_finite(**{name: value for name, value in vars(p).items() if name != "m"})
     family = type(p).__name__.removesuffix("Params").lower()
+    _require_finite(**{f"{family} parameter {name}": value
+                       for name, value in vars(p).items() if name != "m"})
     if p.m > _M_MAX:
         raise ValueError(f"{family} neighbour order m must be at most {_M_MAX}, got {p.m}")
     if not (float(p.m).is_integer() and p.m >= 1):

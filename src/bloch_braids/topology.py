@@ -13,7 +13,9 @@ coefficients are read off by one discrete Fourier transform of the kernel's
 discriminant at roots of unity, and every exceptional point comes from its
 zeros: those on |z| = 1 are the momentum-space EPs, all of them are the
 z-plane branch points. Its winding over the zone (zeros inside |z| < 1
-minus the pole order at z = 0) equals the exponent sum of the braid word.
+minus the pole order at z = 0) equals the exponent sum of the braid word;
+for the dimer and trimer it is counted in w = z^m, the variable their
+entries depend on.
 A braid label can change only where one of its zeros crosses |z| = 1, so
 the gain-loss phase boundaries that fix the reference energies are found
 from that count and polished by Newton onto the exceptional point itself,
@@ -238,7 +240,10 @@ def most_degenerate_point(spec: ModelSpec, grid_samples: int = 2048) -> Exceptio
 def _disc_points(spec: ModelSpec) -> tuple[int, np.ndarray]:
     """(S, the 2S + 1 roots of unity): the discriminant's exponents lie within +/-S."""
     n = spec.n_bands
-    s = n * (n - 1) * max(abs(t.n) for t in spec.fourier_terms())
+    # the dimer's Fourier exponents reach m and the trimer's 2m
+    top = (max(abs(t.n) for t in spec.params.terms) if spec.kind == "generic"
+           else (n - 1) * spec.params.m)
+    s = n * (n - 1) * top
     return s, np.exp(1j * _TWO_PI / (2 * s + 1) * np.arange(2 * s + 1))
 
 
@@ -312,10 +317,15 @@ def _disc_count(spec: ModelSpec) -> int:
     discriminant inside |z| < 1 plus its lowest exponent (minus the order
     of its pole at z = 0). It equals the exponent sum of the braid word and
     can change only where a zero crosses |z| = 1: at an exceptional point
-    on the zone.
+    on the zone. Dimer and trimer entries depend on z only through w = z^m,
+    so Disc(z) = Disc_1(z^m) with Disc_1 the model's at m = 1: the count is
+    taken in w, a polynomial m times shorter, and multiplied by m (each zero
+    inside |w| < 1 gives m inside |z| < 1, and the lowest exponent scales
+    by m).
     """
-    lo, rts = _disc_zeros(spec)
-    return lo + int(np.count_nonzero(np.abs(rts) < 1.0))
+    m = getattr(spec.params, "m", 1)
+    lo, rts = _disc_zeros(spec.replace_param("m", 1) if m > 1 else spec)
+    return m * (lo + int(np.count_nonzero(np.abs(rts) < 1.0)))
 
 
 def ep_zplane_numeric(spec: ModelSpec) -> list[ExceptionalPoint]:
@@ -648,9 +658,9 @@ def gamma_axis_references(spec: ModelSpec, *, k0: float = np.pi / 4, coarse_step
     """Phase boundaries on the gamma axis between this point and gamma ~ 0.
 
     Holding every other parameter fixed, the discriminant count
-    (:func:`_disc_count`, the winding of the discriminant over the zone) is
-    evaluated on a coarse gamma grid from just above zero up to the model's
-    gamma, and each change is bisected to 1e-5. Newton on
+    (:func:`_disc_count`, the winding of the discriminant over the zone,
+    counted in w = z^m) is evaluated on a coarse gamma grid from just above
+    zero up to the model's gamma, and each change is bisected to 1e-5. Newton on
     Disc(e^{ik}; gamma) = 0 then places each boundary on its exceptional
     point (k*, gamma*), inside its bracket; the coalescing band pair there
     and its double-root energy are recorded. As a cross-check the coarse grid is also labelled by

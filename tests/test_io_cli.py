@@ -793,6 +793,82 @@ def test_cli_generic_model_of_the_bad_configs_runs(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().out == "eps: 0\n"
 
 
+def _bad_model_params():
+    """Each dimer and trimer parameter set to a wrong JSON type, NaN, +inf and -inf, and
+    each required one left out, with the end of its one error line; ``m`` (of default 1)
+    also at 0, 33 and 1.5."""
+    from dataclasses import MISSING, fields
+    from bloch_braids.models import DimerParams, TrimerParams
+    cases = []
+    for doc, cls in ((DIMER, DimerParams), (TRIMER, TrimerParams)):
+        kind = doc["kind"]
+        for f in fields(cls):
+            what = f"{kind} parameter {f.name}"
+            order = f"{kind} neighbour order m"
+            text = str(doc["params"][f.name])
+            bad = {"string": (text, f"{what} must be a number, got {text!r}")}
+            if f.name == "m":
+                bad.update({"nan": (math.nan, f"{order} must be a positive integer, got nan"),
+                            "inf": (math.inf, f"{order} must be at most 32, got inf"),
+                            "-inf": (-math.inf, f"{order} must be a positive integer, got -inf"),
+                            "0": (0, f"{order} must be a positive integer, got 0.0"),
+                            "33": (33, f"{order} must be at most 32, got 33.0"),
+                            "1.5": (1.5, f"{order} must be a positive integer, got 1.5")})
+            else:
+                bad.update({name: (v, f"{what} must be finite, got {v!r}") for name, v in
+                            (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf))})
+            if f.default is MISSING:
+                bad["missing"] = (None, f"{what} is missing")
+            for name, (value, tail) in bad.items():
+                params = {k: v for k, v in doc["params"].items() if k != f.name}
+                if name != "missing":
+                    params[f.name] = value
+                cases.append(pytest.param({"kind": kind, "params": params}, tail,
+                                          id=f"{kind}-{f.name}-{name}"))
+    return cases
+
+
+@pytest.mark.parametrize("model, tail", _bad_model_params())
+def test_cli_rejects_each_bad_model_parameter(model, tail, tmp_path, capsys, monkeypatch):
+    from bloch_braids import cli
+    monkeypatch.setitem(cli._RUNNERS, "bands", None)    # rejected before any pipeline runs
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"command": "bands", "model": model, "out": "out",
+                               "options": {"samples": 64}}))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["from-config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(work.iterdir()) == []
+    assert captured.err.splitlines() == [f"error: {tail}"]
+
+
+@pytest.mark.parametrize("m", [1, 32])
+@pytest.mark.parametrize("model", [DIMER, TRIMER], ids=["dimer", "trimer"])
+def test_cli_runs_each_neighbour_order_bound(model, m, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**model, "params": {**model["params"], "m": m}}))
+    assert main(["winding", "--model", str(path), "--samples", "64"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("nu: ")
+
+
+@pytest.mark.parametrize("r", [0.001, 1000.0])
+def test_cli_trimer_riemann_at_the_radius_bounds_fails_numerically(r, tmp_path, capsys):
+    # the bounds are accepted, but near z = 0 or z = infinity the trimer's
+    # 2m-th-neighbour entry moves a band too fast for a uniform grid: the
+    # tracker refines to its cap and the run ends as a numerical failure
+    out = tmp_path / "loops.csv"
+    assert main(["riemann", "--model", str(MODELS / "trimer_fig4a.json"), "--r", str(r),
+                 "--samples", "64", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0].startswith("numerical failure: RefinementExhausted: ")
+    assert not out.exists()
+
+
 # -- golden bytes ----------------------------------------------------------------
 
 # sha256 of the phase-diagram CSV of a fig1b slab: 6 beta rows in [0.25, 2] by

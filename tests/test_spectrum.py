@@ -150,7 +150,7 @@ def _assert_exact_roots(b, c, d, roots):
     whose condition sets a larger floor than 1e-15 (1 + |E|) may miss that by
     the first-order error of a backward-stable solver, 2 eps (|E|^3 + |b| |E|^2
     + |c| |E| + |d|) / |3 E^2 + 2 b E + c|."""
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath       # in the `test` extra of pyproject.toml
     with mpmath.workdps(40):
         exact = [complex(e) for e in mpmath.polyroots(
             [1, mpmath.mpc(b), mpmath.mpc(c), mpmath.mpc(d)], maxsteps=100, extraprec=100)]

@@ -535,6 +535,45 @@ def test_disc_count_equals_exponent_sum_on_fig3b_rows(m):
     assert checked > 180
 
 
+def test_disc_count_in_w_is_the_count_in_z():
+    # dimer and trimer entries depend on z only through w = z^m, so
+    # Disc_m(z) = Disc_1(z^m): the count is taken in w and multiplied by m, and
+    # must equal the zeros of the full Laurent polynomial in z inside |z| < 1
+    # plus its lowest exponent
+    from bloch_braids.topology import _disc_count, _disc_zeros
+    rng = np.random.default_rng(19)
+    checked = set()
+    for trial in range(40):
+        m = int(rng.integers(1, 4))
+        if trial % 2:
+            spec = ModelSpec.dimer(rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0),
+                                   rng.uniform(-1.0, 1.0), 0.0, m)
+        else:
+            spec = ModelSpec.trimer(rng.uniform(0.2, 2.0), rng.uniform(-2.0, 2.0),
+                                    rng.uniform(-1.0, 1.0), 0.0, rng.uniform(-1.0, 1.0), m)
+        for gamma in rng.uniform(-2.0, 2.0, 6).tolist():
+            cell = spec.replace_param("gamma", gamma)
+            count = _disc_count(cell)
+            assert count == m * _disc_count(cell.replace_param("m", 1)), cell
+            lo, zeros = _disc_zeros(cell)
+            assert count == lo + np.count_nonzero(np.abs(zeros) < 1.0), cell
+            checked.add((spec.kind, m, count != 0))
+    assert len(checked) == 12      # both families, m = 1-3, zero and non-zero counts
+
+
+def test_disc_count_factors_the_polynomial_in_w(monkeypatch):
+    # at m = 32 the trimer discriminant has degree 512 in z and 16 in w; the
+    # count factors the latter, while the z-plane zeros keep the z route
+    from bloch_braids.topology import _disc_count, _disc_zeros
+    spec = ModelSpec.trimer(1.0, -1.2, 0.3, 0.7, 0.7, 32)
+    degrees = []
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: degrees.append(len(p) - 1) or roots(p))
+    assert _disc_count(spec) == 64
+    assert degrees == [16]
+    assert len(_disc_zeros(spec)[1]) == 512 and degrees[1:] == [512]
+
+
 TRIMER_BRAIDS = {name: spec for name, (spec, _) in _config_models({"braid"}).items()
                  if spec.kind == "trimer"}
 
