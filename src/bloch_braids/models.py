@@ -393,6 +393,13 @@ def _entries(spec: ModelSpec, z, values=None):
     return _fourier_entries(p.terms, z)
 
 
+def _top_exponent(spec: ModelSpec) -> int:
+    """The largest |n| of the Fourier exponents of H: m for the dimer, 2m for the trimer."""
+    if spec.kind == "generic":
+        return max(abs(t.n) for t in spec.params.terms)
+    return (spec.n_bands - 1) * spec.params.m
+
+
 def _char_coeffs(e):
     """Monic characteristic coefficients (c_{N-1}, ..., c_0) of a 2x2 or 3x3 H.
 

@@ -28,7 +28,7 @@ from .braid import Permutation, _match, _ranks
 from .errors import (DegeneracyEncountered, NonConvergent, ReferenceOnBand, RefinementExhausted,
                      UnresolvedCrossing)
 from .models import (DimerParams, ModelSpec, _char_coeffs, _det_minus, _dimer_entries,
-                     _entries)
+                     _entries, _top_exponent)
 
 __all__ = [
     "dimer_bands_analytic",
@@ -295,7 +295,8 @@ _FIRST_BATCH_SAMPLES = 1 << 15
 _REFINE_BATCH_SAMPLES = 1 << 16
 
 
-def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: int = 0):
+def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: int = 0,
+           floor: int = 0):
     """Track a batch of cells over [t0, t0 + 2pi] on k samples.
 
     ``raw_at(cells, t)`` gives the raw eigenvalues (..., N) of the cells
@@ -304,7 +305,9 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
     that settle are yielded as :class:`_Tracked` groups, one per grid; a
     cell that fails is not, and ``failures[cell]`` holds its exception.
     A cell with a sample that is not finite fails on the level that
-    evaluated it. ``kept`` holds the previous level's samples. A first grid
+    evaluated it. A level below ``floor`` samples (4S, S the largest Fourier
+    exponent of the entries, which a coarser grid can alias) settles no cell
+    and refines. ``kept`` holds the previous level's samples. A first grid
     is split into batches of at most ``_FIRST_BATCH_SAMPLES`` samples, a
     refined one into batches of at most ``_REFINE_BATCH_SAMPLES``, unless a
     batch holds one cell.
@@ -314,7 +317,7 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
     if kept is None and len(cells) > 1 and len(cells) * (k + 1) > _FIRST_BATCH_SAMPLES:
         batch = max(1, _FIRST_BATCH_SAMPLES // (k + 1))
         for s in range(0, len(cells), batch):
-            yield from _track(raw_at, cells[s:s + batch], t0, k, failures, None, nudges)
+            yield from _track(raw_at, cells[s:s + batch], t0, k, failures, None, nudges, floor)
         return
     tvals = t0 + np.linspace(0.0, _TWO_PI, k + 1)
     # a sample that overflows fails its cell below, without a warning
@@ -342,7 +345,8 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
     first = np.sort(raw[:, 0].real, axis=-1)
     tie = finite & ~on_ep & (np.diff(first, axis=-1).min(axis=-1) < 1e-9 * scale)
     if tie.any() and nudges < 8:
-        yield from _track(raw_at, cells[tie], t0 + _TWO_PI / k, k, failures, None, nudges + 1)
+        yield from _track(raw_at, cells[tie], t0 + _TWO_PI / k, k, failures, None, nudges + 1,
+                          floor)
     elif tie.any():
         for i in np.flatnonzero(tie).tolist():
             failures[cells[i]] = UnresolvedCrossing(
@@ -356,7 +360,7 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
     bands, jumps = _match_chain(raw)[1:]
     max_jump, bands = jumps.max(axis=1), bands.transpose(0, 2, 1)
     closure, closed = _closures(bands, 1e-8 * scale)
-    done = closed & (max_jump < 0.5 * min_gap)
+    done = closed & (max_jump < 0.5 * min_gap) & (k >= floor)
     rest = np.flatnonzero(~done)
     # what refines keeps its samples; the rest of the level is released first
     kept = raw[rest] if len(rest) and k < TRACK_SAMPLES_MAX else None
@@ -376,7 +380,7 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
     batch = max(1, _REFINE_BATCH_SAMPLES // (2 * k + 1))
     for s in range(0, len(cells), batch):
         yield from _track(raw_at, cells[s:s + batch], t0, 2 * k, failures,
-                          kept[s:s + batch], nudges)
+                          kept[s:s + batch], nudges, floor)
 
 
 def _check_base_point(name: str, value: float) -> None:
@@ -388,7 +392,7 @@ def _track_one(spec: ModelSpec, t0: float, samples: int, radius) -> BandTrajecto
     _check_base_point("k0" if radius is None else "theta0", t0)
     failures: list = [None]
     for g in _track(lambda cells, t: _eig_grid(spec, t, radius), np.arange(1), float(t0),
-                    int(samples), failures):
+                    int(samples), failures, floor=4 * _top_exponent(spec)):
         return BandTrajectory(
             model=spec, t_grid=g.t_grid, bands=g.bands[0],
             closure=Permutation(tuple(g.closure[0].tolist())), radius=radius,
@@ -402,7 +406,8 @@ def track_bands(spec: ModelSpec, k0: float = 0.0,
 
     The sample count doubles (up to a cap) until the largest matched jump is
     below half the smallest inter-band gap and the endpoint multiset closes
-    onto the starting one. The grid stays uniform: a doubling keeps the
+    onto the starting one, and never settles below 4S samples, S the largest
+    Fourier exponent of H. The grid stays uniform: a doubling keeps the
     samples it already has and evaluates only the new midpoints. A
     real-part tie at the base point shifts it by one grid step, at most 8
     times. Raises :class:`DegeneracyEncountered` on (or numerically on) an

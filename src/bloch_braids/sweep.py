@@ -1,23 +1,21 @@
 """Phase-diagram cells: many cells through the one tracker and crossing reader.
 
-A batch is cells of one model that differ in the values of named
-parameters, handed on as ``(spec, cells)``, where ``cells`` maps each
-parameter name to an array of one value per cell.
-:func:`bloch_braids.topology.phase_diagram` sends here, in one call per
-block of rows, every trimer cell of the block and the dimer cells that
-neither B_2 gate settles (their discriminant winding does not fix their
-label on the tracker's first grid); the rest of a dimer row never reaches
-this module. A batch is tracked by the batched tracker behind
-:func:`bloch_braids.spectrum.track_bands`, in batches capped in samples,
-which settle in groups, one per grid. The crossing steps of all the groups
-are then resolved together, in one pass of the crossing reader behind
-:func:`bloch_braids.braid.extract_braid_word` per 8192 steps, not one per
-group. The model kernel is evaluated on per-cell parameter arrays, so each
-cell meets exactly the rules of the one-cell path. A cell that fails (on an
-exceptional point, at the refinement cap, at a degenerate or an unresolved
-crossing) gets its exception as its result. :func:`dimer_winding_row` winds
-det(H) over a row of dimer cells, as an independent check, through
-the batched winder behind :func:`bloch_braids.topology.winding_number`.
+A batch is cells of one model, dimer or trimer, that differ in the values
+of named parameters, handed on as ``(spec, cells)``, where ``cells`` maps
+each parameter name to an array of one value per cell; the gates of
+:func:`bloch_braids.topology.phase_diagram` take their cells in the same
+form. Per block of rows it sends here every trimer cell and the dimer cells
+that neither B_2 gate settles, in one call of :func:`dimer_row_classify`,
+the classifier of both families. A batch is tracked by the batched tracker
+behind :func:`bloch_braids.spectrum.track_bands`, in batches capped in
+samples, which settle in groups, one per grid; the crossing steps of all
+the groups are resolved together, in one pass of the crossing reader
+behind :func:`bloch_braids.braid.extract_braid_word` per 8192 steps. The
+kernel is evaluated on per-cell parameter arrays, so each cell meets
+exactly the rules of the one-cell path, and a cell that fails gets its
+exception as its result. :func:`dimer_winding_row` winds det(H) over a row
+of dimer cells, as an independent check, through the batched winder behind
+:func:`bloch_braids.topology.winding_number`.
 """
 
 from __future__ import annotations
@@ -25,17 +23,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import braid
-from .models import ModelSpec
+from .models import ModelSpec, _top_exponent
 from .spectrum import (TRACK_SAMPLES_DEFAULT, _WINDING_SAMPLES_DEFAULT, _det_grid, _eig_grid,
                        _track, _wind)
 
-__all__ = ["dimer_row_classify", "trimer_row_classify", "dimer_winding_row"]
+__all__ = ["dimer_row_classify", "dimer_winding_row"]
 
 
 def dimer_row_classify(spec: ModelSpec, cells, *, k0: float,
                        samples: int = TRACK_SAMPLES_DEFAULT) -> list:
-    """Classify the cells of ``spec`` given by ``cells``, a mapping from parameter
-    names to arrays of one value per cell.
+    """Classify the cells of ``spec`` (a dimer or a trimer) given by ``cells``, a
+    mapping from parameter names to arrays of one value per cell.
 
     The other parameters are the spec's, shared by all cells (the kernel
     evaluates them per sample, not per cell). Returns, per cell,
@@ -62,7 +60,8 @@ def dimer_row_classify(spec: ModelSpec, cells, *, k0: float,
                              (word, braid.Permutation(image)))
         pending.clear()
 
-    for group in _track(raw_at, np.arange(n), float(k0), int(samples), results):
+    for group in _track(raw_at, np.arange(n), float(k0), int(samples), results,
+                        floor=4 * _top_exponent(spec)):
         scale[group.cells] = group.scale
         pending.append((group.cells, group.closure,
                         *braid._crossing_steps(group.t_grid, group.bands, group.cells)))
@@ -71,11 +70,6 @@ def dimer_row_classify(spec: ModelSpec, cells, *, k0: float,
     if pending:
         read_pending()
     return results
-
-
-# one body for both families: the spec says which; perfbench's span tracer
-# wraps the dimer name, which topology._classify looks up on this module
-trimer_row_classify = dimer_row_classify
 
 
 def dimer_winding_row(alpha, beta, delta, gamma, m: int):

@@ -42,8 +42,8 @@ from . import sweep
 from .braid import (BraidWord, Permutation, _ranks, cyclic_canonical, exponent_sum,
                     extract_braid_word, word_to_text)
 from .errors import DegenerateModel, NonConvergent, UnsupportedDegree
-from .models import (DimerParams, ModelSpec, _char_coeffs, _disc, _entries, bloch_matrix,
-                     bloch_matrix_z)
+from .models import (DimerParams, ModelSpec, _char_coeffs, _disc, _entries, _top_exponent,
+                     bloch_matrix, bloch_matrix_z)
 from .spectrum import (TRACK_SAMPLES_DEFAULT, _SAMPLES_MIN, _WIND_RESIDUAL, _WIND_STEP,
                        _WINDING_SAMPLES_DEFAULT, _WINDING_SAMPLES_MAX, _check_base_point,
                        _det_grid, _eig_grid, _pair_gaps, _roots, _wind, _winding, eigenvalues,
@@ -239,11 +239,7 @@ def most_degenerate_point(spec: ModelSpec, grid_samples: int = 2048) -> Exceptio
 
 def _disc_points(spec: ModelSpec) -> tuple[int, np.ndarray]:
     """(S, the 2S + 1 roots of unity): the discriminant's exponents lie within +/-S."""
-    n = spec.n_bands
-    # the dimer's Fourier exponents reach m and the trimer's 2m
-    top = (max(abs(t.n) for t in spec.params.terms) if spec.kind == "generic"
-           else (n - 1) * spec.params.m)
-    s = n * (n - 1) * top
+    s = spec.n_bands * (spec.n_bands - 1) * _top_exponent(spec)
     return s, np.exp(1j * _TWO_PI / (2 * s + 1) * np.arange(2 * s + 1))
 
 
@@ -396,9 +392,10 @@ def _dimer_disc(e):
     return (0.5 * (e11 - e22)) ** 2 + e12 * e21
 
 
-def _certified(spec: ModelSpec, name: str, values: np.ndarray, k0: float,
+def _certified(spec: ModelSpec, cells: dict, k0: float,
                samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(nu, certified, slope, low)`` for a dimer row that sets ``name`` to ``values``.
+    """``(nu, certified, slope, low)`` for the dimer cells that set each parameter
+    named in ``cells`` to its array, the arrays broadcast against each other.
 
     D(t) = sum_p c_p e^{ipt} (and the band mean) is a Laurent polynomial
     in z = e^{it} of exponents within +/-2m: one DFT of the kernel's values
@@ -415,7 +412,8 @@ def _certified(spec: ModelSpec, name: str, values: np.ndarray, k0: float,
     bound on the scale, and the real-part split at k0, evaluated at k0
     itself; and whose coarse steps, at most (2pi/G) slope, stay below
     ``low``, so that no coarse segment winds round 0. ``nu``, the winding
-    of D on the coarse grid, is then the fine gate's.
+    of D on the coarse grid, is then the fine gate's. No cell is certified
+    below the fine gate's sample floor.
 
     The fine gate reads values rounded differently from these: numpy's
     temporary elision alone can change D(k0) in its last bits between the
@@ -429,14 +427,14 @@ def _certified(spec: ModelSpec, name: str, values: np.ndarray, k0: float,
     comparisons themselves, so a certified cell passes the fine gate with
     the same nu.
     """
+    cells = {name: np.asarray(v, dtype=float)[..., None] for name, v in cells.items()}
     top, roots = _disc_points(spec)     # exponents of D within +/-top
     n = len(roots)
-    e = _entries(spec, roots, {name: values[:, None]})
+    e = _entries(spec, roots, cells)
     (e11, e12), (e21, e22) = e
     parts = (e11, e12, e21, e22, _dimer_disc(e), 0.5 * (e11 + e22))
     # one DFT: column p (mod n) of each part is n times its coefficient of z^p
-    coeffs = np.abs(np.fft.fft(np.stack([np.broadcast_to(x, (len(values), n)) for x in parts]),
-                               axis=-1)) / n
+    coeffs = np.abs(np.fft.fft(np.stack(np.broadcast_arrays(*parts)), axis=-1)) / n
     power = np.abs(np.fft.fftfreq(n, 1.0 / n))
     s11, s12, s21, s22, _, s_mean = coeffs.sum(axis=-1)
     slope, slope_mean = coeffs[4:] @ power
@@ -446,12 +444,11 @@ def _certified(spec: ModelSpec, name: str, values: np.ndarray, k0: float,
     slope, slope_mean = slope + top * err, slope_mean + top * err_mean
 
     t = k0 + np.linspace(0.0, _TWO_PI, _CERT_GRID + 1)
-    disc = np.broadcast_to(_dimer_disc(_entries(spec, np.exp(1j * t), {name: values[:, None]})),
-                           (len(values), len(t)))
+    disc = _dimer_disc(_entries(spec, np.exp(1j * t), cells))     # every parameter enters D
     mag = np.abs(disc)
     half = np.pi / _CERT_GRID
-    low = mag.min(axis=1) - half * slope - 2.0 * err
-    scale = 1.0 + s_mean + 2.0 * err_mean + np.sqrt(mag.max(axis=1) + half * slope + 2.0 * err)
+    low = mag.min(axis=-1) - half * slope - 2.0 * err
+    scale = 1.0 + s_mean + 2.0 * err_mean + np.sqrt(mag.max(axis=-1) + half * slope + 2.0 * err)
     h = _TWO_PI / samples
     step = h * slope + 2.0 * err
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -461,132 +458,118 @@ def _certified(spec: ModelSpec, name: str, values: np.ndarray, k0: float,
                      & (_CERT_MARGIN * err < _WIND_RESIDUAL * low)
                      & (_CERT_MARGIN * jump < 0.45 * root)
                      & (_CERT_MARGIN * 1e-6 * scale < root)
-                     & (np.abs(np.sqrt(disc[:, 0]).real) - np.sqrt(2.0 * err)
+                     & (np.abs(np.sqrt(disc[..., 0]).real) - np.sqrt(2.0 * err)
                         > _CERT_MARGIN * 1e-6 * scale)
-                     & (_CERT_MARGIN * (2.0 * half * slope + 2.0 * err) < low))
+                     & (_CERT_MARGIN * (2.0 * half * slope + 2.0 * err) < low)
+                     & (samples >= 4 * _top_exponent(spec)))
     nu = _winding(disc)[0]
     return nu.astype(int), certified, slope, low
 
 
-def _dimer_windings(spec: ModelSpec, name: str, values: np.ndarray, k0: float,
+def _dimer_windings(spec: ModelSpec, cells: dict, k0: float,
                     samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(nu, fast)`` for a dimer row that sets parameter ``name`` to ``values``.
+    """``(nu, fast)`` for the dimer cells given by ``cells`` as in :func:`_certified`.
 
     ``nu`` is the winding of D = ((e11 - e22)/2)^2 + e12 e21 = (E1 - E2)^2/4
     over the tracker's first grid, k0 + linspace(0, 2pi, samples + 1).
     ``fast`` marks the cells where that grid guarantees what the tracker and
-    reader would find there: D obeys the winding rule (every phase step
-    below pi/4, the total an integer to 1e-6); the largest step of a band
-    stays below 0.45 sqrt(min|D|), half the smallest gap; that half gap
-    exceeds 1e-6 of the spectral scale; and the real parts at k0 differ by
-    more than 1e-6 of it. On grid step j a band E = mean +/- sqrt(D) moves
-    by at most |d mean_j| + |dD_j| / (2 cos(pi/8) sqrt(min(|D_j|, |D_j+1|)))
-    (the step's two roots lie within pi/8 in angle), never more than the
+    reader would find there: the grid is not below the tracker's floor of
+    4m samples; D obeys the winding rule (every phase step below pi/4, the
+    total an integer to 1e-6); the largest step of a band stays below
+    0.45 sqrt(min|D|), half the smallest gap; that half gap exceeds 1e-6 of
+    the spectral scale; and the real parts at k0 differ by more than 1e-6
+    of it. On grid step j a band E = mean +/- sqrt(D) moves by at most
+    |d mean_j| + |dD_j| / (2 cos(pi/8) sqrt(min(|D_j|, |D_j+1|))) (the
+    step's two roots lie within pi/8 in angle), never more than the
     loop-wide max|d mean| + max|dD| / (2 cos(pi/8) sqrt(min|D|)).
-    :func:`_gate` runs it on the cells that :func:`_certified` leaves.
     """
     t = k0 + np.linspace(0.0, _TWO_PI, samples + 1)
-    e = _entries(spec, np.exp(1j * t), {name: values[:, None]})
+    e = _entries(spec, np.exp(1j * t), {name: np.asarray(v, dtype=float)[..., None]
+                                        for name, v in cells.items()})
     # the mean is reduced and released before D is formed: the fewer arrays a
     # batch holds at once, the less the worker threads' heaps fragment
     mean = 0.5 * (e[0][0] + e[1][1])
     mean_max, mean_steps = np.abs(mean).max(axis=-1), np.abs(np.diff(mean, axis=-1))
     del mean
-    disc = np.broadcast_to(_dimer_disc(e), (len(values), samples + 1))
+    disc = _dimer_disc(e)       # of the cells' shape: every dimer parameter enters D
     del e
     nu, _, fine, integral = _winding(disc)
     root = np.sqrt(np.abs(disc))        # half the gap, sample by sample
-    half_gap = root.min(axis=1)
-    scale = 1.0 + mean_max + root.max(axis=1)   # >= 1 + max|E|
+    half_gap = root.min(axis=-1)
+    scale = 1.0 + mean_max + root.max(axis=-1)   # >= 1 + max|E|
     with np.errstate(divide="ignore", invalid="ignore"):
-        jump = (mean_steps + np.abs(np.diff(disc, axis=1))
-                / (2.0 * math.cos(math.pi / 8.0) * np.minimum(root[:, :-1], root[:, 1:]))
-                ).max(axis=1)
+        jump = (mean_steps + np.abs(np.diff(disc, axis=-1))
+                / (2.0 * math.cos(math.pi / 8.0) * np.minimum(root[..., :-1], root[..., 1:]))
+                ).max(axis=-1)
     del root
     fast = (fine & integral & (jump < 0.45 * half_gap) & (half_gap > 1e-6 * scale)
-            & (np.abs(np.sqrt(disc[:, 0]).real) > 1e-6 * scale))
+            & (np.abs(np.sqrt(disc[..., 0]).real) > 1e-6 * scale)
+            & (samples >= 4 * _top_exponent(spec)))
     return nu.astype(int), fast
 
 
-@functools.cache
 def _b2_label(nu: int) -> tuple[str, int, Permutation]:
-    """The label of a two-band cell of winding ``nu``: t1^nu, nu, and its closure.
-
-    One object per ``nu``, shared by every cell that carries it.
-    """
+    """The label of a two-band cell of winding ``nu``: t1^nu, nu, and its closure."""
     word = BraidWord(((1, 1 if nu > 0 else -1),) * abs(nu), 2)
     return word_to_text(cyclic_canonical(word)), nu, Permutation((1, 0) if nu % 2 else (0, 1))
 
 
-def _gate(spec: ModelSpec, name: str, values: np.ndarray, k0: float,
-          samples: int) -> tuple[list, np.ndarray]:
-    """The B_2 gates of one row: labels of the cells they settle (None elsewhere),
-    and the indices of the cells they leave to the tracker.
-
-    A dimer cell is labelled from its discriminant winding wherever bounds
-    from the Laurent coefficients of D and a coarse grid certify it
-    (:func:`_certified`, for the whole row at once), then, in cache-sized
-    batches of the cells left, wherever the fine gate on the tracker's grid
-    finds it (:func:`_dimer_windings`). A trimer row is left whole. Logs the
-    row's DEBUG record, which counts the certified and the tracked cells.
-    """
-    labels: list = [None] * len(values)
-    rest = np.arange(len(values))
-    certified = 0
-    if spec.kind == "dimer":
-        nu, fast = _certified(spec, name, values, k0, samples)[:2]
-        certified = int(np.count_nonzero(fast))
-        rest = np.flatnonzero(~fast)
-        batch = max(1, _WINDING_BATCH_SAMPLES // (samples + 1))   # cache-sized batches
-        for s in range(0, len(rest), batch):
-            cells = rest[s:s + batch]
-            nu[cells], fast[cells] = _dimer_windings(spec, name, values[cells], k0, samples)
-        for i, v in zip(np.flatnonzero(fast).tolist(), nu[fast].tolist()):
-            labels[i] = _b2_label(v)
-        rest = np.flatnonzero(~fast)
-    _LOG.debug("%s row over %s: %d cells, %d certified, %d tracked", spec.kind, name,
-               len(values), certified, len(rest))
-    return labels, rest
-
-
 def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int,
-              rows: tuple[str, np.ndarray] | None = None) -> tuple[list, int]:
+              rows: tuple[str, np.ndarray] | None = None) -> tuple[list, np.ndarray, int]:
     """Label each cell of a block of rows of ``spec``, each row setting ``name`` to ``values``.
 
     ``rows``, a (name, values) pair, sets one more parameter, one value per
-    row; without it the block is the one row of ``spec``. Returns the
-    labels, row after row, and the number of cells the tracker labelled. A
-    label is (canonical word text, exponent sum, closure permutation); a
-    cell that fails (on an exceptional point, at the refinement cap, at a
-    degenerate or unresolved crossing) gets the exception it failed with.
-    The braid group of two bands is Abelian, so each dimer row is first
-    gated on its own (:func:`_gate`); the cells the gates leave in the whole
-    block, which differ in both parameters, are then tracked in one call of
-    the family's classifier in :mod:`bloch_braids.sweep`, which resolves the
-    crossings of all of them in one pass of the crossing reader.
+    row; without it the block is the one row of ``spec``. Returns ``(table,
+    ids, tracked)``: ``table[ids[c]]`` is the label of cell c, row after row,
+    and ``tracked`` counts the cells the tracker labelled. A label is
+    (canonical word text, exponent sum, closure permutation), or the
+    exception the cell failed with. The braid group of two bands is Abelian,
+    so a dimer block is gated first, in batches of rows holding about 2^16
+    coarse-grid samples: :func:`_certified` over the batch as a grid, then
+    :func:`_dimer_windings` over the cells it leaves (a batch of one row
+    keeps its row value one number). ``table`` lists one label per winding
+    the gates settle, then one entry per cell they leave (every trimer
+    cell): those cells, which differ in both parameters, go through one call
+    of :func:`bloch_braids.sweep.dimer_row_classify`. Logs one DEBUG record
+    per block, which counts its certified and tracked cells.
     """
     if samples < _SAMPLES_MIN:    # the tracker's floor, also where no cell reaches it
         raise ValueError(f"need at least {_SAMPLES_MIN} samples, got {samples}")
     values = np.asarray(values, dtype=float)
-    row_name, row_values = rows if rows is not None else (None, [None])
-    labels: list = []
-    rest = []
-    for r, v in enumerate(row_values):
-        row_spec = spec if row_name is None else spec.replace_param(row_name, float(v))
-        row_labels, row_rest = _gate(row_spec, name, values, k0, samples)
-        labels += row_labels
-        rest.append(row_rest + r * len(values))
-    rest = np.concatenate(rest)
+    row = {} if rows is None else {rows[0]: np.asarray(rows[1], dtype=float)}
+    cols, n_rows = len(values), 1 if rows is None else len(rows[1])
+    nu = np.zeros(n_rows * cols, dtype=int)
+    fast = np.zeros(n_rows * cols, dtype=bool)
+    certified = 0
+    if spec.kind == "dimer":
+        step = max(1, _WINDING_BATCH_SAMPLES // (cols * (_CERT_GRID + 1)))
+        size = max(1, _WINDING_BATCH_SAMPLES // (samples + 1))
+        for r in range(0, n_rows, step):
+            at = slice(r * cols, (r + step) * cols)
+            grid = {name: values, **{k: v[r:r + step, None] for k, v in row.items()}}
+            nu[at], fast[at] = (x.ravel() for x in _certified(spec, grid, k0, samples)[:2])
+            certified += int(fast[at].sum())
+            left = np.flatnonzero(~fast[at]) + r * cols
+            for c in (left[s:s + size] for s in range(0, len(left), size)):
+                i, j = np.divmod(c, cols)
+                nu[c], fast[c] = _dimer_windings(spec, {name: values[j], **{
+                    k: v[r] if step == 1 else v[i] for k, v in row.items()}}, k0, samples)
+    uniq, inverse = np.unique(nu[fast], return_inverse=True)
+    ids = np.empty(len(nu), dtype=np.intp)
+    ids[fast] = inverse
+    rest = np.flatnonzero(~fast)
+    ids[rest] = len(uniq) + np.arange(len(rest))
+    table: list = [_b2_label(v) for v in uniq.tolist()]
     if len(rest):
-        cells = {name: values[rest % len(values)]}
-        if row_name is not None:
-            cells[row_name] = np.asarray(row_values, dtype=float)[rest // len(values)]
-        classify = {"dimer": sweep.dimer_row_classify, "trimer": sweep.trimer_row_classify}
-        for i, res in zip(rest.tolist(), classify[spec.kind](spec, cells, k0=k0,
-                                                             samples=samples)):
-            labels[i] = (res if isinstance(res, Exception) else
-                         (word_to_text(cyclic_canonical(res[0])), exponent_sum(res[0]), res[1]))
-    return labels, len(rest)
+        i, j = np.divmod(rest, cols)
+        table += [res if isinstance(res, Exception) else
+                  (word_to_text(cyclic_canonical(res[0])), exponent_sum(res[0]), res[1])
+                  for res in sweep.dimer_row_classify(
+                      spec, {name: values[j], **{k: v[i] for k, v in row.items()}},
+                      k0=k0, samples=samples)]
+    _LOG.debug("%s block of %d rows over %s: %d cells, %d certified, %d tracked", spec.kind,
+               n_rows, name, len(nu), certified, len(rest))
+    return table, ids, len(rest)
 
 
 def _brackets(key, lo: float, key_lo, hi: float, key_hi, resolution: float) -> list:
@@ -683,13 +666,17 @@ def gamma_axis_references(spec: ModelSpec, *, k0: float = np.pi / 4, coarse_step
     def count(g: float) -> int:
         return _disc_count(spec.replace_param("gamma", g))
 
+    def labels_at(gs: list) -> list:
+        table, ids, _ = _classify(spec, "gamma", gs, k0, TRACK_SAMPLES_DEFAULT)
+        return [table[i] for i in ids.tolist()]
+
     def label(g: float):
-        lab = _classify(spec, "gamma", [g], k0, TRACK_SAMPLES_DEFAULT)[0][0]
+        lab = labels_at([g])[0]
         return None if isinstance(lab, Exception) else lab
 
     gs = np.linspace(g_target * 1e-3, g_target, coarse_steps + 1).tolist()
     counts = [count(g) for g in gs]
-    labels = _classify(spec, "gamma", gs, k0, TRACK_SAMPLES_DEFAULT)[0]
+    labels = labels_at(gs)
     brackets = []
     for i in range(coarse_steps):
         lo, hi = gs[i], gs[i + 1]
@@ -918,15 +905,16 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     automatic, a negative count raises ``ValueError``), and each block is
     labelled by :func:`_classify`: a dimer cell whose discriminant winding
     is well conditioned on the tracker's first grid from that winding alone,
-    row by row, and every other cell of the block by the rules of
+    in batches of rows, and every other cell of the block by the rules of
     :func:`track_bands` and :func:`extract_braid_word`, tracked as one batch
     and read as one batch: the crossings of every tracked cell of the block
     are resolved in one pass (a pass per 8192 crossing steps on larger
     blocks); a cell where they fail is DEGENERATE. ``tracked_cells`` of
-    the result counts the tracked cells, and each row logs one DEBUG record
-    to the ``bloch_braids`` logger, each crossing pass one to its child
-    ``bloch_braids.braid``. The labels are interned after the pool,
-    so ids never depend on scheduling. ``k0`` is bounded as in :func:`track_bands`.
+    the result counts the tracked cells, and each block logs one DEBUG
+    record to the ``bloch_braids`` logger, each crossing pass one to its
+    child ``bloch_braids.braid``. The blocks' small label tables are
+    interned after the pool, in row-major order of first appearance, so ids
+    never depend on scheduling. ``k0`` is bounded as in :func:`track_bands`.
     """
     _check_base_point("k0", k0)
     axis1 = axis1 if isinstance(axis1, AxisSpec) else AxisSpec(*axis1)
@@ -947,7 +935,7 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     vals1 = axis1.values()
     vals2 = axis2.values()
 
-    def classify_block(rows: np.ndarray) -> tuple[list, int]:
+    def classify_block(rows: np.ndarray) -> tuple[list, np.ndarray, int]:
         return _classify(template, axis2.name, vals2, k0, samples, (axis1.name, rows))
 
     blocks = [b for b in np.array_split(vals1, _thread_count(threads)) if len(b)]
@@ -956,13 +944,13 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     else:
         with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
             done = list(pool.map(classify_block, blocks))
-    index: dict = {}        # label -> id, in row-major order of first appearance
-    known: dict = {}        # id() of a label object -> its id: fast cells share their objects
-    flat = [lab for labels, _ in done for lab in labels]
-    for lab in flat:
-        if id(lab) not in known:
-            known[id(lab)] = index.setdefault((DEGENERATE, None, None)
-                                              if isinstance(lab, Exception) else lab, len(index))
-    ids = np.array([known[id(lab)] for lab in flat], dtype=np.intp).reshape(len(vals1), -1)
-    return PhaseDiagram(template, axis1, axis2, list(index), ids, k0, samples,
-                        sum(tracked for _, tracked in done))
+    index: dict = {}        # label -> its class, in the order of the blocks' tables
+    cells = np.concatenate([np.array([index.setdefault(
+        (DEGENERATE, None, None) if isinstance(lab, Exception) else lab, len(index))
+        for lab in table], dtype=np.intp)[ids] for table, ids, _ in done])
+    classes, first, ids = np.unique(cells, return_index=True, return_inverse=True)
+    order = np.argsort(first)       # the classes in row-major order of first appearance
+    labels = list(index)
+    return PhaseDiagram(template, axis1, axis2, [labels[c] for c in classes[order].tolist()],
+                        np.argsort(order)[ids].reshape(len(vals1), -1), k0, samples,
+                        sum(tracked for *_, tracked in done))

@@ -43,6 +43,11 @@ def test_span_tracer_attributes_resolve_and_are_called():
         # B_2 gates leave it to the tracker; every other cell of the plane is gated
         topology.phase_diagram(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0), ("beta", 1.4, 1.6, 2),
                                ("gamma", -1.0, 0.6, 3), samples=128, threads=1)
+        # every trimer cell is tracked, through the one classifier the tracer wraps
+        before = tracer.counts["sweep.cells"]
+        topology.phase_diagram(ModelSpec.trimer(1.0, 1.0, 0.3, 0.1, 0.7), ("beta", 1.0, 1.2, 2),
+                               ("gamma", 0.2, 0.4, 2), threads=1)
+        trimer_cells = tracer.counts["sweep.cells"] - before
         # the one-trajectory reader, which calls evaluate_raw with arrays
         topology.extract_braid_word(topology.track_bands(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0)))
     finally:
@@ -51,6 +56,7 @@ def test_span_tracer_attributes_resolve_and_are_called():
     assert {"topology.winding_number", "topology.gamma_axis_references", "topology.classify",
             "sweep.dimer_row_classify", "braid.extract_braid_word"} <= names
     assert tracer.counts["topology.winding_samples"] == 1024
+    assert trimer_cells == 4
     assert tracer.counts["braid.evaluations"] > 0
 
 

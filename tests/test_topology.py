@@ -519,13 +519,13 @@ def test_base_point_past_the_bound_is_rejected(k0):
 @pytest.mark.parametrize("m", [1, 2])
 def test_disc_count_equals_exponent_sum_on_fig3b_rows(m):
     from bloch_braids import exponent_sum
-    from bloch_braids.sweep import trimer_row_classify
+    from bloch_braids.sweep import dimer_row_classify
     from bloch_braids.topology import _disc_count
     gammas = np.linspace(0.02, 1.0, 50)
     checked = 0
     for beta in (-1.2, -0.4, 0.8, 1.6):
-        results = trimer_row_classify(ModelSpec.trimer(1.0, beta, 0.3, 0.0, 0.7, m),
-                                      {"gamma": gammas}, k0=PI4)
+        results = dimer_row_classify(ModelSpec.trimer(1.0, beta, 0.3, 0.0, 0.7, m),
+                                     {"gamma": gammas}, k0=PI4)
         for gamma, res in zip(gammas.tolist(), results):
             if isinstance(res, Exception):
                 continue
@@ -533,6 +533,33 @@ def test_disc_count_equals_exponent_sum_on_fig3b_rows(m):
             assert _disc_count(spec) == exponent_sum(res[0]), (beta, gamma)
             checked += 1
     assert checked > 180
+
+
+def test_no_word_settles_on_an_aliased_grid():
+    # at 64 samples w = z^32 takes only the two values +-w0: a grid that coarse
+    # can close an m = 32 trimer on the empty word (exponent sum 0, not 64) and
+    # read dimer cells as e where the discriminant count is +-32. No level
+    # settles below 4m samples (dimer) or 8m (trimer), and the B_2 gates pass
+    # no cell there, so every settled word's exponent sum is the count
+    from bloch_braids import exponent_sum, extract_braid_word, track_bands
+    from bloch_braids.topology import _disc_count
+    spec = ModelSpec.trimer(1.0, -1.2, 0.3, 0.7, 0.7, 32)
+    settled = 0
+    for k0 in np.linspace(0.0, 2.0 * np.pi / 64, 40, endpoint=False).tolist():
+        try:
+            traj = track_bands(spec, k0, 64)
+        except UnresolvedCrossing:      # k0 = 0: the nudges land on equivalent points
+            continue
+        assert traj.samples >= 256
+        assert exponent_sum(extract_braid_word(traj)) == _disc_count(spec) == 64, k0
+        settled += 1
+    assert settled >= 39
+    pd = phase_diagram(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0, 32), ("beta", 0.2, 2.8, 6),
+                       ("gamma", -2.9, 2.9, 7), k0=0.04, samples=64, threads=1)
+    cells = [c for row in pd.cells for c in row if not c.degenerate]
+    assert len(cells) == 42 and pd.tracked_cells == 42
+    for c in cells:
+        assert c.nu == _disc_count(ModelSpec.dimer(1.0, c.value1, 0.3, c.value2, 32)), c
 
 
 def test_disc_count_in_w_is_the_count_in_z():
@@ -627,7 +654,8 @@ def test_classify_keeps_the_failure():
     # gamma = 0.5173 is within 3e-6 of a fig4a boundary: the tracker exhausts
     # its refinement there, and the label says so instead of reading None
     from bloch_braids.topology import _classify
-    labels, tracked = _classify(TRIMER_BRAIDS["fig4a"], "gamma", [0.5173, 0.5], PI4, 512)
+    table, ids, tracked = _classify(TRIMER_BRAIDS["fig4a"], "gamma", [0.5173, 0.5], PI4, 512)
+    labels = [table[i] for i in ids]
     assert tracked == 2
     assert isinstance(labels[0], RefinementExhausted)
     assert labels[1][:2] == ("t2", 1)
@@ -726,14 +754,16 @@ def test_phase_diagram_degenerate_marker(fig1_dimer):
 
 
 def test_phase_diagram_counts_and_logs_the_tracked_cells(fig1_dimer, fig3_trimer, caplog):
-    # one DEBUG record per row; a dimer row tracks only the cells its
-    # discriminant winding leaves, a trimer row tracks every cell
+    # one DEBUG record per block of rows; a dimer block tracks only the cells
+    # its discriminant winding leaves, a trimer block tracks every cell
+    import re
     from bloch_braids import io
     caplog.set_level("DEBUG", logger="bloch_braids")
     pd = phase_diagram(fig1_dimer(0.0), ("beta", 1.4, 1.6, 3), ("gamma", 0.2, 0.8, 13),
                        threads=1)
     records = [r.getMessage() for r in caplog.records if r.name == "bloch_braids"]
-    assert len(records) == 3 and all("13 cells" in r for r in records)
+    assert len(records) == 1
+    assert sum(int(re.search(r"(\d+) cells", r)[1]) for r in records) == 39
     assert sum(int(r.split(", ")[-1].split()[0]) for r in records) == pd.tracked_cells
     assert 1 <= pd.tracked_cells < 39 and len(pd.degenerate_cells()) >= 1
     assert "tracked" not in io.dumps_json(io.phase_diagram_to_json_dict(pd))
@@ -834,7 +864,7 @@ def test_row_engine_agrees_with_scalar_classifier(row, fig1_dimer, fig3_trimer):
     # one row call gives each cell the word, closure and failure type of the
     # one-cell path; the row tracks and reads its cells as one batch
     from bloch_braids import extract_braid_word, track_bands
-    from bloch_braids.sweep import dimer_row_classify, trimer_row_classify
+    from bloch_braids.sweep import dimer_row_classify
     kind, value = row
     if kind == "dimer":
         gammas = np.linspace(-3.0, 3.0, 121)
@@ -846,7 +876,7 @@ def test_row_engine_agrees_with_scalar_classifier(row, fig1_dimer, fig3_trimer):
         gammas = np.linspace(0.02, 1.0, 50)
         if value < 0:
             gammas = np.append(gammas, 0.5176)
-        results = trimer_row_classify(fig3_trimer(value, 0.0), {"gamma": gammas}, k0=PI4)
+        results = dimer_row_classify(fig3_trimer(value, 0.0), {"gamma": gammas}, k0=PI4)
         specs = [fig3_trimer(value, g) for g in gammas.tolist()]
     assert len(results) == len(specs)
     counts = {"refined": 0, "failed": 0}
@@ -882,8 +912,8 @@ def test_block_pass_reads_as_the_one_cell_path(cap, monkeypatch):
     grids, passes, points = set(), [], []
     track, resolve, eig_grid = sweep._track, braid._resolve_crossings, sweep._eig_grid
 
-    def tracked(*args):
-        for group in track(*args):
+    def tracked(*args, **kwargs):
+        for group in track(*args, **kwargs):
             grids.add((len(group.t_grid) - 1, float(group.t_grid[0]) != PI4))
             yield group
 
@@ -903,7 +933,7 @@ def test_block_pass_reads_as_the_one_cell_path(cap, monkeypatch):
     gammas = np.linspace(0.02, 1.0, 50).tolist()
     cells = [(1.0, -0.15, g, 0.7) for g in gammas] + [(1.0, -1.0, 0.6, 0.7)] + [
         (0.0, 0.0, g, -0.6) for g in (0.2, 0.5)] + [(1.0, 1.2, -0.7, 0.7)]
-    results = sweep.trimer_row_classify(
+    results = sweep.dimer_row_classify(
         ModelSpec.trimer(1.0, 1.0, 0.3, 0.1, 0.7),
         dict(zip(("alpha", "beta", "gamma", "v"), np.array(cells).T)), k0=PI4)
     assert {(512, False), (2048, False), (512, True)} <= grids
@@ -923,6 +953,33 @@ def test_block_pass_reads_as_the_one_cell_path(cap, monkeypatch):
             continue
         assert res == expected, spec
     assert failed == {DegeneracyEncountered, RefinementExhausted}
+
+
+def test_phase_diagram_gates_a_block_in_batches_of_rows(monkeypatch):
+    # no spec is rebuilt per row, and a tall plane of two columns is gated in
+    # batches of about 2^16 // (2 * 129) = 254 rows, not one row at a time
+    from bloch_braids import topology
+
+    def rebuilt(*args):
+        raise AssertionError("phase_diagram rebuilt a spec")
+
+    calls = []
+    certified = topology._certified
+
+    def counted(spec, cells, *args):
+        calls.append(np.broadcast_shapes(*(np.shape(v) for v in cells.values())))
+        return certified(spec, cells, *args)
+
+    monkeypatch.setattr(ModelSpec, "replace_param", rebuilt)
+    monkeypatch.setattr(topology, "_certified", counted)
+    template = ModelSpec.dimer(1.0, 1.5, 0.3, 1.0)
+    pd = phase_diagram(template, ("beta", 1.4, 1.6, 10_000), ("gamma", -1.0, 1.0, 2),
+                       samples=64, threads=1)
+    rows = topology._WINDING_BATCH_SAMPLES // (2 * (topology._CERT_GRID + 1))
+    assert len(calls) <= -(-10_000 // rows) and sum(r * c for r, c in calls) == 20_000
+    assert pd.ids.shape == (10_000, 2)
+    phase_diagram(ModelSpec.trimer(1.0, 1.0, 0.3, 0.1, 0.7), ("beta", 1.0, 1.2, 2),
+                  ("gamma", 0.2, 0.4, 2), threads=1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -946,10 +1003,11 @@ def test_dimer_fast_path_agrees_with_tracker(m):
     for name, fixed, values in rows:
         params = {"alpha": 1.0, "beta": 1.5, "delta": 0.3, "gamma": 1.0, "m": m, **fixed}
         spec = ModelSpec.dimer(**params)
-        labels, n_tracked = _classify(spec, name, values, PI4, 512)
+        table, ids, n_tracked = _classify(spec, name, values, PI4, 512)
+        labels = [table[i] for i in ids]
         fast, tracked = fast + len(values) - n_tracked, tracked + n_tracked
-        nu, cert = _certified(spec, name, values, PI4, 512)[:2]
-        nu_fine, passed = _dimer_windings(spec, name, values, PI4, 512)
+        nu, cert = _certified(spec, {name: values}, PI4, 512)[:2]
+        nu_fine, passed = _dimer_windings(spec, {name: values}, PI4, 512)
         assert not (cert & ~passed).any(), values[cert & ~passed]
         assert (nu[cert] == nu_fine[cert]).all(), values[cert & (nu != nu_fine)]
         certified, fine = certified + cert.sum(), fine + passed.sum()
@@ -978,8 +1036,8 @@ def test_certified_bounds_hold_on_a_dense_grid(seed):
     gamma = rng.uniform(-3.0, 3.0, 8)
     k0 = rng.uniform(-4.0, 4.0)
     spec = ModelSpec.dimer(alpha, beta, delta, 0.0, m)
-    nu, cert, slope, low = _certified(spec, "gamma", gamma, k0, 512)
-    nu_fine, passed = _dimer_windings(spec, "gamma", gamma, k0, 512)
+    nu, cert, slope, low = _certified(spec, {"gamma": gamma}, k0, 512)
+    nu_fine, passed = _dimer_windings(spec, {"gamma": gamma}, k0, 512)
     assert not (cert & ~passed).any() and (nu[cert] == nu_fine[cert]).all()
     # D = (E1 - E2)^2 / 4 from the momentum-space matrix of the models docstring
     k = np.linspace(0.0, 2.0 * np.pi, (1 << 16) + 1)
@@ -1015,11 +1073,11 @@ def test_phase_diagram_labels_do_not_depend_on_the_blocks(template, axis1, axis2
         assert other.tracked_cells == pd.tracked_cells
     tracked = 0
     for i, value in enumerate(pd.axis1.values().tolist()):
-        labels, n = _classify(template.replace_param(axis1[0], value), axis2[0],
-                              pd.axis2.values(), PI4, 512)
+        table, ids, n = _classify(template.replace_param(axis1[0], value), axis2[0],
+                                  pd.axis2.values(), PI4, 512)
         assert [pd.labels[k] for k in pd.ids[i].tolist()] == [
-            ("DEGENERATE", None, None) if isinstance(lab, Exception) else lab
-            for lab in labels], (axis1[0], value)
+            ("DEGENERATE", None, None) if isinstance(table[k], Exception) else table[k]
+            for k in ids], (axis1[0], value)
         tracked += n
     assert tracked == pd.tracked_cells >= 2
     if axis2[1] == -3.5 or template.kind == "trimer":
