@@ -306,11 +306,11 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
     cell that fails is not, and ``failures[cell]`` holds its exception.
     A cell with a sample that is not finite fails on the level that
     evaluated it. A level below ``floor`` samples (4S, S the largest Fourier
-    exponent of the entries, which a coarser grid can alias) settles no cell
-    and refines. ``kept`` holds the previous level's samples. A first grid
-    is split into batches of at most ``_FIRST_BATCH_SAMPLES`` samples, a
-    refined one into batches of at most ``_REFINE_BATCH_SAMPLES``, unless a
-    batch holds one cell.
+    exponent of the entries, which a coarser grid can alias) settles no cell,
+    nudges none, and refines. ``kept`` holds the previous level's samples.
+    A first grid is split into batches of at most ``_FIRST_BATCH_SAMPLES``
+    samples, a refined one into batches of at most
+    ``_REFINE_BATCH_SAMPLES``, unless a batch holds one cell.
     """
     if k < _SAMPLES_MIN:
         raise ValueError(f"need at least {_SAMPLES_MIN} samples, got {k}")
@@ -341,9 +341,10 @@ def _track(raw_at, cells, t0: float, k: int, failures: list, kept=None, nudges: 
             f"minimum band gap {min_gap[i]:.3e} below tolerance "
             f"{DEGENERACY_RTOL * scale[i]:.3e}; parameters sit on an exceptional point")
     # a real-part tie at the base point leaves the initial order, and any
-    # crossing pinned there, ill-defined: shift the base by one grid step
+    # crossing pinned there, ill-defined: shift the base by one grid step, from
+    # the floor on (below it a level settles nothing, and a step can be a period)
     first = np.sort(raw[:, 0].real, axis=-1)
-    tie = finite & ~on_ep & (np.diff(first, axis=-1).min(axis=-1) < 1e-9 * scale)
+    tie = finite & ~on_ep & (k >= floor) & (np.diff(first, axis=-1).min(axis=-1) < 1e-9 * scale)
     if tie.any() and nudges < 8:
         yield from _track(raw_at, cells[tie], t0 + _TWO_PI / k, k, failures, None, nudges + 1,
                           floor)
@@ -410,9 +411,10 @@ def track_bands(spec: ModelSpec, k0: float = 0.0,
     Fourier exponent of H. The grid stays uniform: a doubling keeps the
     samples it already has and evaluates only the new midpoints. A
     real-part tie at the base point shifts it by one grid step, at most 8
-    times. Raises :class:`DegeneracyEncountered` on (or numerically on) an
-    exceptional point, :class:`RefinementExhausted` when the cap is
-    reached, :class:`UnresolvedCrossing` when the tie survives the shifts,
+    times, on grids of at least 4S samples. Raises
+    :class:`DegeneracyEncountered` on (or numerically on) an exceptional
+    point, :class:`RefinementExhausted` when the cap is reached,
+    :class:`UnresolvedCrossing` when the tie survives the shifts,
     :class:`NonConvergent` on the first grid with an eigenvalue that is not
     finite, and ``ValueError`` unless |k0| <= 1000 (``_BASE_POINT_MAX``).
     """

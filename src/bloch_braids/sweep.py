@@ -2,10 +2,10 @@
 
 A batch is cells of one model, dimer or trimer, that differ in the values
 of named parameters, handed on as ``(spec, cells)``, where ``cells`` maps
-each parameter name to an array of one value per cell; the gates of
-:func:`bloch_braids.topology.phase_diagram` take their cells in the same
+each parameter name to an array of one value per cell; the B_2 gate of
+:func:`bloch_braids.topology.phase_diagram` takes its cells in the same
 form. Per block of rows it sends here every trimer cell and the dimer cells
-that neither B_2 gate settles, in one call of :func:`dimer_row_classify`,
+that the B_2 gate does not settle, in one call of :func:`dimer_row_classify`,
 the classifier of both families. A batch is tracked by the batched tracker
 behind :func:`bloch_braids.spectrum.track_bands`, in batches capped in
 samples, which settle in groups, one per grid; the crossing steps of all

@@ -381,8 +381,8 @@ def winding_number(spec: ModelSpec, reference_energy: complex,
 # -- reference energies and the total braid index ----------------------------
 
 _WINDING_BATCH_SAMPLES = 1 << 16
-_CERT_GRID = 128            # G, the coarse grid of the certified gate
-_CERT_MARGIN = 1.01         # each certified bound passes the fine gate's test by this factor
+_CERT_GRID = 128            # G, the coarse grid of the B_2 gate's certificate
+_CERT_MARGIN = 1.01         # each certified bound passes its fine condition by this factor
 _CERT_ROUNDING = 1e-13      # relative rounding allowance per Laurent coefficient (~450 ulps)
 
 
@@ -392,45 +392,59 @@ def _dimer_disc(e):
     return (0.5 * (e11 - e22)) ** 2 + e12 * e21
 
 
-def _certified(spec: ModelSpec, cells: dict, k0: float,
-               samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(nu, certified, slope, low)`` for the dimer cells that set each parameter
-    named in ``cells`` to its array, the arrays broadcast against each other.
+def _certified(spec: ModelSpec, cells: dict, k0: float, samples: int) -> tuple[np.ndarray, ...]:
+    """The B_2 gate: ``(nu, settled, certified, slope, low)`` for the dimer
+    cells that set each parameter named in ``cells`` to its array, the
+    arrays broadcast against each other.
 
-    D(t) = sum_p c_p e^{ipt} (and the band mean) is a Laurent polynomial
-    in z = e^{it} of exponents within +/-2m: one DFT of the kernel's values
-    at the 4m + 1 roots of unity gives its coefficients, and those of the
-    four entries. By the coefficient form of Bernstein's inequality,
-    ``slope`` = sum |p c_p| >= max|D'|, and likewise for the mean. Every
-    point of the circle lies within pi/G of the G-point grid k0 + 2pi j/G,
-    so ``low`` = min over that grid of |D| - (pi/G) slope bounds |D| from
-    below, and every step of the tracker's grid is at most
-    (2pi/samples) slope. ``certified`` marks the cells whose bounds pass
-    each part of the fine gate (:func:`_dimer_windings`) by the factor
-    ``_CERT_MARGIN``: phase steps below pi/4 (the total then lies within
-    1e-6 of an integer), the jump bound, the gap floor against an upper
-    bound on the scale, and the real-part split at k0, evaluated at k0
-    itself; and whose coarse steps, at most (2pi/G) slope, stay below
-    ``low``, so that no coarse segment winds round 0. ``nu``, the winding
-    of D on the coarse grid, is then the fine gate's. No cell is certified
-    below the fine gate's sample floor.
+    ``settled`` marks the cells that the winding ``nu`` of D = ((e11 -
+    e22)/2)^2 + e12 e21 = (E1 - E2)^2/4 labels as the tracker and reader
+    would: on the tracker's first grid, k0 + linspace(0, 2pi, samples + 1),
+    they meet the fine conditions. D obeys the winding rule (phase steps
+    below pi/4, the total an integer to 1e-6); the largest step of a band
+    (on step j at most |d mean_j| + |dD_j| / (2 cos(pi/8) sqrt(min(|D_j|,
+    |D_j+1|))), the step's two roots lying within pi/8 in angle, and never
+    more than the loop-wide max|d mean| + max|dD| / (2 cos(pi/8)
+    sqrt(min|D|))) stays below 0.45 sqrt(min|D|), half the smallest gap;
+    that half gap exceeds 1e-6 of the spectral scale; and the real parts at
+    k0 differ by more than 1e-6 of it. Below the tracker's floor of 4m
+    samples, where a grid can alias the entries, nothing is evaluated and
+    no cell settles.
 
-    The fine gate reads values rounded differently from these: numpy's
-    temporary elision alone can change D(k0) in its last bits between the
-    two grids. Each evaluation of D at a grid point is within ``err`` =
-    ``_CERT_ROUNDING`` (4m + 1) (T + (|k0| + 2pi) slope) of D at the exact
-    point, where T = (S11 + S22)^2 / 4 + S12 S21 bounds the terms D is
-    summed from (S_ij: the sum of the |coefficients| of entry ij); the DFT
-    coefficients' errors sum to less, so ``slope`` is raised by 2m err.
-    Every rounded value the bounds compare widens them by ``err`` (Re sqrt
-    of D(k0) by sqrt(2 err)), and the margin covers the rounding of the
-    comparisons themselves, so a certified cell passes the fine gate with
-    the same nu.
+    ``certified`` cells meet them by a certificate. D (and the band mean)
+    is a Laurent polynomial in z = e^{it} of exponents within +/-2m, whose
+    coefficients c_p, and those of the four entries, come from one DFT of
+    the kernel at the 4m + 1 roots of unity. By Bernstein's inequality in
+    coefficient form, ``slope`` = sum |p c_p| >= max|D'|, so ``low`` = min
+    |D| over the G-point grid k0 + 2pi j/G, less (pi/G) slope, bounds |D|
+    from below, and a step of the fine grid is at most (2pi/samples) slope.
+    A cell is certified when these bounds pass each fine condition by the
+    factor ``_CERT_MARGIN`` (the jump bound loop-wide, the real parts at k0
+    against an upper bound on the scale) and its coarse steps, at most
+    (2pi/G) slope, stay below ``low``: its ``nu`` on the coarse grid is then
+    the fine grid's. The grids round D differently (numpy's temporary
+    elision alone changes D(k0) in its last bits), but each value of D is
+    within ``err`` = ``_CERT_ROUNDING`` (4m + 1) (T + (|k0| + 2pi) slope) of
+    D at its exact point, where T = (S11 + S22)^2 / 4 + S12 S21 bounds the
+    terms D is summed from (S_ij: the sum of the |coefficients| of entry
+    ij). Every compared value widens its bound by ``err`` (Re sqrt D(k0) by
+    sqrt(2 err)), ``slope`` is raised by 2m err, more than the DFT's own
+    errors, and the margin covers the comparisons' rounding.
+
+    The other cells are checked on the fine grid itself, in batches of
+    ``_WINDING_BATCH_SAMPLES`` samples, with D from the kernel, whose bits
+    are the tracker's radicand in ``spectrum._quadratic``. So certificate,
+    then fine conditions, then the tracker's reading: a settled cell is t1^nu.
     """
-    cells = {name: np.asarray(v, dtype=float)[..., None] for name, v in cells.items()}
+    shape = np.broadcast_shapes(*(np.shape(v) for v in cells.values()))
+    if samples < 4 * _top_exponent(spec):
+        return (np.zeros(shape, dtype=int), np.zeros(shape, dtype=bool),
+                np.zeros(shape, dtype=bool), np.full(shape, np.nan), np.full(shape, np.nan))
+    cells = {name: np.asarray(v, dtype=float) for name, v in cells.items()}
+    grid = {name: v[..., None] for name, v in cells.items()}
     top, roots = _disc_points(spec)     # exponents of D within +/-top
     n = len(roots)
-    e = _entries(spec, roots, cells)
+    e = _entries(spec, roots, grid)
     (e11, e12), (e21, e22) = e
     parts = (e11, e12, e21, e22, _dimer_disc(e), 0.5 * (e11 + e22))
     # one DFT: column p (mod n) of each part is n times its coefficient of z^p
@@ -444,7 +458,7 @@ def _certified(spec: ModelSpec, cells: dict, k0: float,
     slope, slope_mean = slope + top * err, slope_mean + top * err_mean
 
     t = k0 + np.linspace(0.0, _TWO_PI, _CERT_GRID + 1)
-    disc = _dimer_disc(_entries(spec, np.exp(1j * t), cells))     # every parameter enters D
+    disc = _dimer_disc(_entries(spec, np.exp(1j * t), grid))     # every parameter enters D
     mag = np.abs(disc)
     half = np.pi / _CERT_GRID
     low = mag.min(axis=-1) - half * slope - 2.0 * err
@@ -460,52 +474,39 @@ def _certified(spec: ModelSpec, cells: dict, k0: float,
                      & (_CERT_MARGIN * 1e-6 * scale < root)
                      & (np.abs(np.sqrt(disc[..., 0]).real) - np.sqrt(2.0 * err)
                         > _CERT_MARGIN * 1e-6 * scale)
-                     & (_CERT_MARGIN * (2.0 * half * slope + 2.0 * err) < low)
-                     & (samples >= 4 * _top_exponent(spec)))
-    nu = _winding(disc)[0]
-    return nu.astype(int), certified, slope, low
-
-
-def _dimer_windings(spec: ModelSpec, cells: dict, k0: float,
-                    samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(nu, fast)`` for the dimer cells given by ``cells`` as in :func:`_certified`.
-
-    ``nu`` is the winding of D = ((e11 - e22)/2)^2 + e12 e21 = (E1 - E2)^2/4
-    over the tracker's first grid, k0 + linspace(0, 2pi, samples + 1).
-    ``fast`` marks the cells where that grid guarantees what the tracker and
-    reader would find there: the grid is not below the tracker's floor of
-    4m samples; D obeys the winding rule (every phase step below pi/4, the
-    total an integer to 1e-6); the largest step of a band stays below
-    0.45 sqrt(min|D|), half the smallest gap; that half gap exceeds 1e-6 of
-    the spectral scale; and the real parts at k0 differ by more than 1e-6
-    of it. On grid step j a band E = mean +/- sqrt(D) moves by at most
-    |d mean_j| + |dD_j| / (2 cos(pi/8) sqrt(min(|D_j|, |D_j+1|))) (the
-    step's two roots lie within pi/8 in angle), never more than the
-    loop-wide max|d mean| + max|dD| / (2 cos(pi/8) sqrt(min|D|)).
-    """
-    t = k0 + np.linspace(0.0, _TWO_PI, samples + 1)
-    e = _entries(spec, np.exp(1j * t), {name: np.asarray(v, dtype=float)[..., None]
-                                        for name, v in cells.items()})
-    # the mean is reduced and released before D is formed: the fewer arrays a
-    # batch holds at once, the less the worker threads' heaps fragment
-    mean = 0.5 * (e[0][0] + e[1][1])
-    mean_max, mean_steps = np.abs(mean).max(axis=-1), np.abs(np.diff(mean, axis=-1))
-    del mean
-    disc = _dimer_disc(e)       # of the cells' shape: every dimer parameter enters D
-    del e
-    nu, _, fine, integral = _winding(disc)
-    root = np.sqrt(np.abs(disc))        # half the gap, sample by sample
-    half_gap = root.min(axis=-1)
-    scale = 1.0 + mean_max + root.max(axis=-1)   # >= 1 + max|E|
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jump = (mean_steps + np.abs(np.diff(disc, axis=-1))
-                / (2.0 * math.cos(math.pi / 8.0) * np.minimum(root[..., :-1], root[..., 1:]))
-                ).max(axis=-1)
-    del root
-    fast = (fine & integral & (jump < 0.45 * half_gap) & (half_gap > 1e-6 * scale)
-            & (np.abs(np.sqrt(disc[..., 0]).real) > 1e-6 * scale)
-            & (samples >= 4 * _top_exponent(spec)))
-    return nu.astype(int), fast
+                     & (_CERT_MARGIN * (2.0 * half * slope + 2.0 * err) < low))
+    nu = _winding(disc)[0].astype(int)
+    # the coarse grid is released before the fine one is evaluated: the fewer
+    # arrays a batch holds at once, the less the worker threads' heaps fragment
+    del e, e11, e12, e21, e22, parts, coeffs, disc, mag
+    settled = certified.copy()
+    left = np.nonzero(~certified)
+    size = max(1, _WINDING_BATCH_SAMPLES // (samples + 1))
+    z = np.exp(1j * (k0 + np.linspace(0.0, _TWO_PI, samples + 1)))
+    for s in range(0, len(left[0]), size):
+        at = tuple(i[s:s + size] for i in left)
+        # a value all cells share (the row value of a batch of one row) stays one
+        # number: a copy per cell would make the kernel's arrays, and the check, larger
+        e = _entries(spec, z, {name: v.reshape(1) if v.size == 1 else
+                               np.broadcast_to(v, shape)[at][:, None] for name, v in cells.items()})
+        mean = 0.5 * (e[0][0] + e[1][1])
+        mean_max, mean_steps = np.abs(mean).max(axis=-1), np.abs(np.diff(mean, axis=-1))
+        del mean
+        disc = _dimer_disc(e)
+        del e
+        nu[at], _, fine, integral = _winding(disc)
+        root = np.sqrt(np.abs(disc))        # half the gap, sample by sample
+        half_gap = root.min(axis=-1)
+        scale = 1.0 + mean_max + root.max(axis=-1)   # >= 1 + max|E|
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jump = (mean_steps + np.abs(np.diff(disc, axis=-1))
+                    / (2.0 * math.cos(math.pi / 8.0) * np.minimum(root[..., :-1], root[..., 1:]))
+                    ).max(axis=-1)
+        del root
+        settled[at] = (fine & integral & (jump < 0.45 * half_gap) & (half_gap > 1e-6 * scale)
+                       & (np.abs(np.sqrt(disc[..., 0]).real) > 1e-6 * scale))
+        del disc
+    return nu, settled, certified, slope, low
 
 
 def _b2_label(nu: int) -> tuple[str, int, Permutation]:
@@ -524,14 +525,13 @@ def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int,
     and ``tracked`` counts the cells the tracker labelled. A label is
     (canonical word text, exponent sum, closure permutation), or the
     exception the cell failed with. The braid group of two bands is Abelian,
-    so a dimer block is gated first, in batches of rows holding about 2^16
-    coarse-grid samples: :func:`_certified` over the batch as a grid, then
-    :func:`_dimer_windings` over the cells it leaves (a batch of one row
-    keeps its row value one number). ``table`` lists one label per winding
-    the gates settle, then one entry per cell they leave (every trimer
-    cell): those cells, which differ in both parameters, go through one call
-    of :func:`bloch_braids.sweep.dimer_row_classify`. Logs one DEBUG record
-    per block, which counts its certified and tracked cells.
+    so a dimer block is gated first by :func:`_certified`, in batches of
+    rows holding about 2^16 coarse-grid samples, each batch one grid.
+    ``table`` lists one label per winding the gate settles, then one entry
+    per cell it leaves (every trimer cell): those cells, which differ in
+    both parameters, go through one call of
+    :func:`bloch_braids.sweep.dimer_row_classify`. Logs one DEBUG record per
+    block, which counts its certified, fine-checked and tracked cells.
     """
     if samples < _SAMPLES_MIN:    # the tracker's floor, also where no cell reaches it
         raise ValueError(f"need at least {_SAMPLES_MIN} samples, got {samples}")
@@ -543,17 +543,11 @@ def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int,
     certified = 0
     if spec.kind == "dimer":
         step = max(1, _WINDING_BATCH_SAMPLES // (cols * (_CERT_GRID + 1)))
-        size = max(1, _WINDING_BATCH_SAMPLES // (samples + 1))
         for r in range(0, n_rows, step):
             at = slice(r * cols, (r + step) * cols)
             grid = {name: values, **{k: v[r:r + step, None] for k, v in row.items()}}
-            nu[at], fast[at] = (x.ravel() for x in _certified(spec, grid, k0, samples)[:2])
-            certified += int(fast[at].sum())
-            left = np.flatnonzero(~fast[at]) + r * cols
-            for c in (left[s:s + size] for s in range(0, len(left), size)):
-                i, j = np.divmod(c, cols)
-                nu[c], fast[c] = _dimer_windings(spec, {name: values[j], **{
-                    k: v[r] if step == 1 else v[i] for k, v in row.items()}}, k0, samples)
+            nu[at], fast[at], cert = (x.ravel() for x in _certified(spec, grid, k0, samples)[:3])
+            certified += int(cert.sum())
     uniq, inverse = np.unique(nu[fast], return_inverse=True)
     ids = np.empty(len(nu), dtype=np.intp)
     ids[fast] = inverse
@@ -567,8 +561,9 @@ def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int,
                   for res in sweep.dimer_row_classify(
                       spec, {name: values[j], **{k: v[i] for k, v in row.items()}},
                       k0=k0, samples=samples)]
-    _LOG.debug("%s block of %d rows over %s: %d cells, %d certified, %d tracked", spec.kind,
-               n_rows, name, len(nu), certified, len(rest))
+    _LOG.debug("%s block of %d rows over %s: %d cells, %d certified, %d fine, %d tracked",
+               spec.kind, n_rows, name, len(nu), certified, len(nu) - len(rest) - certified,
+               len(rest))
     return table, ids, len(rest)
 
 
@@ -903,9 +898,9 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     rows of ``axis2`` cells are split into one contiguous block per worker
     (``threads``, else BLOCH_BRAIDS_THREADS, caps the worker count; 0 means
     automatic, a negative count raises ``ValueError``), and each block is
-    labelled by :func:`_classify`: a dimer cell whose discriminant winding
-    is well conditioned on the tracker's first grid from that winding alone,
-    in batches of rows, and every other cell of the block by the rules of
+    labelled by :func:`_classify`: a dimer cell that the B_2 gate
+    (:func:`_certified`) settles from its discriminant winding alone, in
+    batches of rows, and every other cell of the block by the rules of
     :func:`track_bands` and :func:`extract_braid_word`, tracked as one batch
     and read as one batch: the crossings of every tracked cell of the block
     are resolved in one pass (a pass per 8192 crossing steps on larger

@@ -253,6 +253,23 @@ def test_cli_braid_summary(trimer_file, capsys):
     assert capsys.readouterr().out.strip() == "word: t1 t2, nu: 2"
 
 
+def test_cli_tracks_an_m32_trimer_from_64_samples(tmp_path, capsys):
+    # the real parts tie at the default k0 = 0, and on the first grids, below the
+    # floor of 8m = 256 samples, every shift of one step is a period of w = z^32:
+    # the tie is tested only from the floor on, so both commands settle
+    doc = json.loads((MODELS / "trimer_fig4a.json").read_text())
+    doc["params"]["m"] = 32
+    model = tmp_path / "trimer_m32.json"
+    model.write_text(json.dumps(doc))
+    assert main(["bands", "--model", str(model), "--samples", "64",
+                 "--out", str(tmp_path / "bands.csv")]) == 0
+    assert capsys.readouterr().out.strip() == "closure: (1 2 3)"
+    assert main(["braid", "--model", str(model), "--samples", "64",
+                 "--out", str(tmp_path / "braid.json")]) == 0
+    word, nu = capsys.readouterr().out.strip().removeprefix("word: ").split(", nu: ")
+    assert len(word.split()) == 64 and nu == "64"
+
+
 def test_cli_eps(dimer_file, tmp_path, capsys):
     out = tmp_path / "eps.json"
     code = main(["eps", "--model", dimer_file, "--out", str(out)])

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -539,27 +540,40 @@ def test_no_word_settles_on_an_aliased_grid():
     # at 64 samples w = z^32 takes only the two values +-w0: a grid that coarse
     # can close an m = 32 trimer on the empty word (exponent sum 0, not 64) and
     # read dimer cells as e where the discriminant count is +-32. No level
-    # settles below 4m samples (dimer) or 8m (trimer), and the B_2 gates pass
+    # settles below 4m samples (dimer) or 8m (trimer), and the B_2 gate passes
     # no cell there, so every settled word's exponent sum is the count
     from bloch_braids import exponent_sum, extract_braid_word, track_bands
     from bloch_braids.topology import _disc_count
     spec = ModelSpec.trimer(1.0, -1.2, 0.3, 0.7, 0.7, 32)
     settled = 0
     for k0 in np.linspace(0.0, 2.0 * np.pi / 64, 40, endpoint=False).tolist():
-        try:
-            traj = track_bands(spec, k0, 64)
-        except UnresolvedCrossing:      # k0 = 0: the nudges land on equivalent points
-            continue
+        # k0 = 0 ties in real part; a tie is tested only from the floor on, where
+        # one shift of the base point is not a period of the entries
+        traj = track_bands(spec, k0, 64)
         assert traj.samples >= 256
         assert exponent_sum(extract_braid_word(traj)) == _disc_count(spec) == 64, k0
         settled += 1
-    assert settled >= 39
+    assert settled == 40
     pd = phase_diagram(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0, 32), ("beta", 0.2, 2.8, 6),
                        ("gamma", -2.9, 2.9, 7), k0=0.04, samples=64, threads=1)
     cells = [c for row in pd.cells for c in row if not c.degenerate]
     assert len(cells) == 42 and pd.tracked_cells == 42
     for c in cells:
         assert c.nu == _disc_count(ModelSpec.dimer(1.0, c.value1, 0.3, c.value2, 32)), c
+
+
+def test_b2_gate_evaluates_nothing_below_the_tracker_floor(monkeypatch):
+    # at 64 samples an m = 32 dimer is below the floor of 4m = 128: the gate returns
+    # before it evaluates a single entry, and the tracker labels every cell
+    from bloch_braids import topology
+
+    def evaluated(*args):
+        raise AssertionError("the B_2 gate evaluated the kernel below the tracker floor")
+
+    monkeypatch.setattr(topology, "_entries", evaluated)
+    pd = phase_diagram(ModelSpec.dimer(1.0, 1.5, 0.3, 1.0, 32), ("beta", 0.2, 2.8, 6),
+                       ("gamma", -2.9, 2.9, 7), k0=0.04, samples=64, threads=1)
+    assert pd.tracked_cells == 42
 
 
 def test_disc_count_in_w_is_the_count_in_z():
@@ -765,6 +779,10 @@ def test_phase_diagram_counts_and_logs_the_tracked_cells(fig1_dimer, fig3_trimer
     assert len(records) == 1
     assert sum(int(re.search(r"(\d+) cells", r)[1]) for r in records) == 39
     assert sum(int(r.split(", ")[-1].split()[0]) for r in records) == pd.tracked_cells
+    for r in records:   # every cell is certified, passed by the fine check or tracked
+        cells, certified, fine, tracked = (int(re.search(rf"(\d+) {field}", r)[1])
+                                           for field in ("cells", "certified", "fine", "tracked"))
+        assert certified + fine + tracked == cells
     assert 1 <= pd.tracked_cells < 39 and len(pd.degenerate_cells()) >= 1
     assert "tracked" not in io.dumps_json(io.phase_diagram_to_json_dict(pd))
     trimer = phase_diagram(fig3_trimer(1.2, 0.5), ("beta", 1.0, 1.2, 2), ("gamma", 0.2, 0.4, 3),
@@ -983,16 +1001,17 @@ def test_phase_diagram_gates_a_block_in_batches_of_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_dimer_fast_path_agrees_with_tracker(m):
+def test_dimer_fast_path_agrees_with_tracker(m, monkeypatch):
     # a fig1b slab over both exceptional lines, with cells on each line and
     # 1e-9 beside it, one row along beta and one along delta (where the band
     # mean varies from cell to cell): a cell labelled from its discriminant
     # winding reads as the tracker reads it, every cell the tracker fails on
-    # still fails with the tracker's exception, and every cell the certified
-    # gate labels passes the fine gate with the same winding
+    # still fails with the tracker's exception, and every cell the certificate
+    # labels passes the fine check with the same winding
+    from bloch_braids import topology
     from bloch_braids.braid import cyclic_canonical, exponent_sum, word_to_text
     from bloch_braids.sweep import dimer_row_classify
-    from bloch_braids.topology import _certified, _classify, _dimer_windings
+    from bloch_braids.topology import _certified, _classify
     rows = [("gamma", {"beta": beta}, np.append(np.linspace(-3.0, 3.0, 241), [
         g + d for g in (beta - 1.0, 1.0 - beta, beta + 1.0, -beta - 1.0)
         for d in (-1e-9, 0.0, 1e-9)])) for beta in (0.5, 1.5, 2.5)]
@@ -1006,8 +1025,10 @@ def test_dimer_fast_path_agrees_with_tracker(m):
         table, ids, n_tracked = _classify(spec, name, values, PI4, 512)
         labels = [table[i] for i in ids]
         fast, tracked = fast + len(values) - n_tracked, tracked + n_tracked
-        nu, cert = _certified(spec, {name: values}, PI4, 512)[:2]
-        nu_fine, passed = _dimer_windings(spec, {name: values}, PI4, 512)
+        nu, _, cert = _certified(spec, {name: values}, PI4, 512)[:3]
+        with monkeypatch.context() as patch:   # no cell certified: the fine verdict on each
+            patch.setattr(topology, "_CERT_MARGIN", math.inf)
+            nu_fine, passed = _certified(spec, {name: values}, PI4, 512)[:2]
         assert not (cert & ~passed).any(), values[cert & ~passed]
         assert (nu[cert] == nu_fine[cert]).all(), values[cert & (nu != nu_fine)]
         certified, fine = certified + cert.sum(), fine + passed.sum()
@@ -1025,20 +1046,23 @@ def test_dimer_fast_path_agrees_with_tracker(m):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_certified_bounds_hold_on_a_dense_grid(seed):
+def test_certified_bounds_hold_on_a_dense_grid(seed, monkeypatch):
     # on random dimers, sum |p c_p| bounds every finite difference of D on a
     # 2^16-sample grid, and the lower bound on |D| lies below its minimum
-    # there; the gate labels no cell the fine gate would not pass
-    from bloch_braids.topology import _certified, _dimer_windings
+    # there; the certificate labels no cell the fine check would not pass
+    from bloch_braids import topology
+    from bloch_braids.topology import _certified
     rng = np.random.default_rng(seed)
     m = seed % 3 + 1
     alpha, beta, delta = rng.uniform(-2.0, 2.0, 3)
     gamma = rng.uniform(-3.0, 3.0, 8)
     k0 = rng.uniform(-4.0, 4.0)
     spec = ModelSpec.dimer(alpha, beta, delta, 0.0, m)
-    nu, cert, slope, low = _certified(spec, {"gamma": gamma}, k0, 512)
-    nu_fine, passed = _dimer_windings(spec, {"gamma": gamma}, k0, 512)
+    nu, settled, cert, slope, low = _certified(spec, {"gamma": gamma}, k0, 512)
+    monkeypatch.setattr(topology, "_CERT_MARGIN", math.inf)    # the fine verdict on each cell
+    nu_fine, passed = _certified(spec, {"gamma": gamma}, k0, 512)[:2]
     assert not (cert & ~passed).any() and (nu[cert] == nu_fine[cert]).all()
+    assert (settled == passed).all() and (nu[settled] == nu_fine[settled]).all()
     # D = (E1 - E2)^2 / 4 from the momentum-space matrix of the models docstring
     k = np.linspace(0.0, 2.0 * np.pi, (1 << 16) + 1)
     h11 = 2.0 * delta * np.sin(m * k) + 1j * gamma[:, None]
@@ -1092,7 +1116,6 @@ def test_tracker_batches_stay_within_the_sample_caps(monkeypatch, caplog):
     # crossing resolver's calls (1-D) stay within 8192 points, and on the trimer plane
     # number those of one pass over the block's five tracker groups, not those of a
     # pass per group (57 calls)
-    import math
     from bloch_braids import braid, sweep
     caplog.set_level("DEBUG", logger="bloch_braids")
     calls = []
