@@ -380,8 +380,8 @@ def winding_number(spec: ModelSpec, reference_energy: complex,
 
 # -- reference energies and the total braid index ----------------------------
 
-_WINDING_BATCH_SAMPLES = 1 << 16
-_CERT_GRID = 128            # G, the coarse grid of the B_2 gate's certificate
+_WINDING_BATCH_SAMPLES = 1 << 15     # the samples of H a stage of the B_2 gate holds at once
+_CERT_GRID = 128            # G, the coarse grid of the B_2 gate's chord bound
 _CERT_MARGIN = 1.01         # each certified bound passes its fine condition by this factor
 _CERT_ROUNDING = 1e-13      # relative rounding allowance per Laurent coefficient (~450 ulps)
 
@@ -392,10 +392,41 @@ def _dimer_disc(e):
     return (0.5 * (e11 - e22)) ** 2 + e12 * e21
 
 
+def _certain(low, step, drift, err, floor, real0):
+    """Whether a lower bound ``low`` on |D| over the zone passes the five fine
+    conditions of :func:`_certified`, each by the factor ``_CERT_MARGIN``.
+
+    ``step`` and ``drift`` bound a step of D and of the band mean on the
+    fine grid, ``err`` the rounding of a value of D; ``floor`` is the margin
+    times 1e-6 of an upper bound on the spectral scale, and ``real0`` a
+    lower bound on |Re sqrt D(k0)|.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(np.maximum(low, 0.0))
+        jump = drift + step / (2.0 * math.cos(math.pi / 8.0) * root)
+        return ((_CERT_MARGIN * step < math.sin(_WIND_STEP) * low)
+                & (_CERT_MARGIN * err < _WIND_RESIDUAL * low)
+                & (_CERT_MARGIN * jump < 0.45 * root) & (floor < root) & (floor < real0))
+
+
+def _gathered(spec: ModelSpec, cells: dict, shape: tuple, where: np.ndarray, z: np.ndarray):
+    """``(at, rows of H at z)`` for the cells that ``where`` marks, gathered
+    in batches ``at`` of at most ``_WINDING_BATCH_SAMPLES`` samples."""
+    left = np.nonzero(where)
+    size = max(1, _WINDING_BATCH_SAMPLES // len(z))
+    for s in range(0, len(left[0]), size):
+        at = tuple(i[s:s + size] for i in left)
+        # a value all cells share (the row value of a batch of one row) stays one
+        # number: a copy per cell would make the kernel's arrays, and the check, larger
+        yield at, _entries(spec, z, {name: v.reshape(1) if v.size == 1 else
+                                     np.broadcast_to(v, shape)[at][:, None]
+                                     for name, v in cells.items()})
+
+
 def _certified(spec: ModelSpec, cells: dict, k0: float, samples: int) -> tuple[np.ndarray, ...]:
-    """The B_2 gate: ``(nu, settled, certified, slope, low)`` for the dimer
-    cells that set each parameter named in ``cells`` to its array, the
-    arrays broadcast against each other.
+    """The B_2 gate: ``(nu, settled, certified, slope, low, coefficient)``
+    for the dimer cells that set each parameter named in ``cells`` to its
+    array, the arrays broadcast against each other.
 
     ``settled`` marks the cells that the winding ``nu`` of D = ((e11 -
     e22)/2)^2 + e12 e21 = (E1 - E2)^2/4 labels as the tracker and reader
@@ -411,84 +442,107 @@ def _certified(spec: ModelSpec, cells: dict, k0: float, samples: int) -> tuple[n
     samples, where a grid can alias the entries, nothing is evaluated and
     no cell settles.
 
-    ``certified`` cells meet them by a certificate. D (and the band mean)
-    is a Laurent polynomial in z = e^{it} of exponents within +/-2m, whose
-    coefficients c_p, and those of the four entries, come from one DFT of
-    the kernel at the 4m + 1 roots of unity. By Bernstein's inequality in
-    coefficient form, ``slope`` = sum |p c_p| >= max|D'|, so ``low`` = min
-    |D| over the G-point grid k0 + 2pi j/G, less (pi/G) slope, bounds |D|
-    from below, and a step of the fine grid is at most (2pi/samples) slope.
-    A cell is certified when these bounds pass each fine condition by the
-    factor ``_CERT_MARGIN`` (the jump bound loop-wide, the real parts at k0
-    against an upper bound on the scale) and its coarse steps, at most
-    (2pi/G) slope, stay below ``low``: its ``nu`` on the coarse grid is then
-    the fine grid's. The grids round D differently (numpy's temporary
-    elision alone changes D(k0) in its last bits), but each value of D is
-    within ``err`` = ``_CERT_ROUNDING`` (4m + 1) (T + (|k0| + 2pi) slope) of
-    D at its exact point, where T = (S11 + S22)^2 / 4 + S12 S21 bounds the
-    terms D is summed from (S_ij: the sum of the |coefficients| of entry
-    ij). Every compared value widens its bound by ``err`` (Re sqrt D(k0) by
-    sqrt(2 err)), ``slope`` is raised by 2m err, more than the DFT's own
-    errors, and the margin covers the comparisons' rounding.
+    ``certified`` cells meet them by a certificate: a lower bound ``low`` on
+    |D| over the zone that passes each fine condition by the factor
+    ``_CERT_MARGIN`` (:func:`_certain`; the jump bound loop-wide). D (and
+    the band mean) is a Laurent polynomial in z = e^{it} of exponents within
+    +/-2m, whose coefficients c_p, and those of the four entries, come from
+    one DFT of the kernel at the n = 4m + 1 roots of unity. So max|D| <=
+    sum |c_p|, which bounds the spectral scale, and by Bernstein's
+    inequality in coefficient form ``slope`` = sum |p c_p| >= max|D'|, so a
+    step of the fine grid is at most (2pi/samples) slope. The gate runs in
+    three stages, each on the cells the one before leaves:
 
-    The other cells are checked on the fine grid itself, in batches of
-    ``_WINDING_BATCH_SAMPLES`` samples, with D from the kernel, whose bits
-    are the tracker's radicand in ``spectrum._quadratic``. So certificate,
-    then fine conditions, then the tracker's reading: a settled cell is t1^nu.
+    1. Rouche (``coefficient``): with c_j the largest coefficient, |D| >=
+       2|c_j| - sum |c_p| on |z| = 1; where that is positive, D winds as
+       c_j z^j does, j times (the one-term case of Pellet's theorem).
+    2. Chords of the G-point grid k0 + 2pi i/G: on step i, D lies within
+       (h^2/8) sum p^2 |c_p| (h = 2pi/G) of the chord from D_i to D_i+1, so
+       |D| there is at least the chord's distance from 0 less that. Where
+       this bound is positive, every chord misses 0 by more than D strays
+       from it, the straight-line homotopy from D to the polygon never
+       meets 0, and D winds as the polygon does.
+    3. The fine conditions themselves, on the fine grid, with D from the
+       kernel, whose bits are the tracker's radicand in
+       ``spectrum._quadratic``.
+
+    The grids round D differently (numpy's temporary elision alone changes
+    D(k0) in its last bits), but each value of D is within ``err`` =
+    ``_CERT_ROUNDING`` n (T + (|k0| + 2pi) slope) of D at its exact point,
+    where T = (S11 + S22)^2 / 4 + S12 S21 bounds the terms D is summed from
+    (S_ij: the sum of the |coefficients| of entry ij). Every compared value
+    widens its bound by ``err`` (sum |c_p| and the Rouche bound by 2n err,
+    Re sqrt D(k0) by sqrt(2 err)), ``slope`` and the curvature sum are
+    raised by 2m err and (2m)^2 err, more than the DFT's own errors, and the
+    margin covers the comparisons' rounding. No stage holds more than
+    ``_WINDING_BATCH_SAMPLES`` samples of H at once. So Rouche bound or
+    chord bound, then fine conditions, then the tracker's reading: a
+    settled cell is t1^nu.
     """
     shape = np.broadcast_shapes(*(np.shape(v) for v in cells.values()))
     if samples < 4 * _top_exponent(spec):
         return (np.zeros(shape, dtype=int), np.zeros(shape, dtype=bool),
-                np.zeros(shape, dtype=bool), np.full(shape, np.nan), np.full(shape, np.nan))
+                np.zeros(shape, dtype=bool), np.full(shape, np.nan), np.full(shape, np.nan),
+                np.zeros(shape, dtype=bool))
     cells = {name: np.asarray(v, dtype=float) for name, v in cells.items()}
     grid = {name: v[..., None] for name, v in cells.items()}
     top, roots = _disc_points(spec)     # exponents of D within +/-top
     n = len(roots)
     e = _entries(spec, roots, grid)
     (e11, e12), (e21, e22) = e
-    parts = (e11, e12, e21, e22, _dimer_disc(e), 0.5 * (e11 + e22))
     # one DFT: column p (mod n) of each part is n times its coefficient of z^p
-    coeffs = np.abs(np.fft.fft(np.stack(np.broadcast_arrays(*parts)), axis=-1)) / n
-    power = np.abs(np.fft.fftfreq(n, 1.0 / n))
-    s11, s12, s21, s22, _, s_mean = coeffs.sum(axis=-1)
-    slope, slope_mean = coeffs[4:] @ power
+    s11, s12, s21, s22 = (np.abs(np.fft.fft(np.broadcast_to(x, np.broadcast_shapes(
+        np.shape(x), (n,))))).sum(axis=-1) / n for x in (e11, e12, e21, e22))
+    c_mean = np.abs(np.fft.fft(0.5 * (e11 + e22))) / n
+    c = np.broadcast_to(np.abs(np.fft.fft(_dimer_disc(e))) / n, shape + (n,))
+    # each stage releases its arrays before the next evaluates: the fewer a batch
+    # holds at once, the less the worker threads' heaps fragment
+    del e, e11, e12, e21, e22
+    power = np.fft.fftfreq(n, 1.0 / n)
+    total, slope, curve = c.sum(axis=-1), c @ np.abs(power), c @ power ** 2
+    slope_mean = c_mean @ np.abs(power)
     reach = abs(k0) + _TWO_PI
     err = _CERT_ROUNDING * n * (0.25 * (s11 + s22) ** 2 + s12 * s21 + reach * slope)
     err_mean = _CERT_ROUNDING * n * (0.5 * (s11 + s22) + reach * slope_mean)
-    slope, slope_mean = slope + top * err, slope_mean + top * err_mean
-
-    t = k0 + np.linspace(0.0, _TWO_PI, _CERT_GRID + 1)
-    disc = _dimer_disc(_entries(spec, np.exp(1j * t), grid))     # every parameter enters D
-    mag = np.abs(disc)
-    half = np.pi / _CERT_GRID
-    low = mag.min(axis=-1) - half * slope - 2.0 * err
-    scale = 1.0 + s_mean + 2.0 * err_mean + np.sqrt(mag.max(axis=-1) + half * slope + 2.0 * err)
+    slope, curve = slope + top * err, curve + top ** 2 * err
+    slope_mean = slope_mean + top * err_mean
+    scale = 1.0 + c_mean.sum(axis=-1) + 2.0 * err_mean + np.sqrt(total + 2.0 * n * err)
+    d0 = _dimer_disc(_entries(spec, np.exp(1j * k0), grid))[..., 0]
     h = _TWO_PI / samples
-    step = h * slope + 2.0 * err
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(np.maximum(low, 0.0))
-        jump = h * slope_mean + 2.0 * err_mean + step / (2.0 * math.cos(math.pi / 8.0) * root)
-        certified = ((_CERT_MARGIN * step < math.sin(_WIND_STEP) * low)
-                     & (_CERT_MARGIN * err < _WIND_RESIDUAL * low)
-                     & (_CERT_MARGIN * jump < 0.45 * root)
-                     & (_CERT_MARGIN * 1e-6 * scale < root)
-                     & (np.abs(np.sqrt(disc[..., 0]).real) - np.sqrt(2.0 * err)
-                        > _CERT_MARGIN * 1e-6 * scale)
-                     & (_CERT_MARGIN * (2.0 * half * slope + 2.0 * err) < low))
-    nu = _winding(disc)[0].astype(int)
-    # the coarse grid is released before the fine one is evaluated: the fewer
-    # arrays a batch holds at once, the less the worker threads' heaps fragment
-    del e, e11, e12, e21, e22, parts, coeffs, disc, mag
+    bounds = tuple(np.broadcast_to(b, shape) for b in (
+        h * slope + 2.0 * err, h * slope_mean + 2.0 * err_mean, err,
+        _CERT_MARGIN * 1e-6 * scale, np.abs(np.sqrt(d0).real) - np.sqrt(2.0 * err)))
+
+    low = 2.0 * c.max(axis=-1) - total - 2.0 * n * err
+    nu = power.astype(int)[c.argmax(axis=-1)]
+    coefficient = _certain(low, *bounds)
+    del c
+    bend = np.broadcast_to((_TWO_PI / _CERT_GRID) ** 2 / 8.0 * curve + 2.0 * err, shape)
+    t = k0 + np.linspace(0.0, _TWO_PI, _CERT_GRID + 1)
+    for at, e in _gathered(spec, cells, shape, ~coefficient, np.exp(1j * t)):
+        disc = _dimer_disc(e)
+        del e
+        # chord i runs from a = D_i by d = D_i+1 - D_i, and conj(a) d = dot + i cross: where
+        # -|d|^2 < dot < 0 its point nearest 0 lies inside it, at |cross| / |d|, else at an end
+        d = np.diff(disc, axis=-1)
+        q = disc[:, :-1].conj() * d
+        dd = d.real ** 2 + d.imag ** 2
+        del d
+        inner = np.divide(q.imag ** 2, dd, out=np.full_like(dd, np.inf),
+                          where=(q.real < 0.0) & (q.real > -dd))
+        low[at] = np.sqrt(np.minimum(inner.min(axis=-1), (disc.real ** 2 + disc.imag ** 2)
+                                     .min(axis=-1))) - bend[at]
+        # the polygon's winding, its signed crossings of the negative real axis: a chord
+        # leaving Im >= 0 with cross > 0, less one entering it with cross < 0
+        upper = disc.imag >= 0.0
+        nu[at] = (np.count_nonzero((upper[:, :-1] > upper[:, 1:]) & (q.imag > 0.0), axis=-1)
+                  - np.count_nonzero((upper[:, :-1] < upper[:, 1:]) & (q.imag < 0.0), axis=-1))
+        del disc, q, dd, inner, upper
+    certified = _certain(low, *bounds)
+
     settled = certified.copy()
-    left = np.nonzero(~certified)
-    size = max(1, _WINDING_BATCH_SAMPLES // (samples + 1))
     z = np.exp(1j * (k0 + np.linspace(0.0, _TWO_PI, samples + 1)))
-    for s in range(0, len(left[0]), size):
-        at = tuple(i[s:s + size] for i in left)
-        # a value all cells share (the row value of a batch of one row) stays one
-        # number: a copy per cell would make the kernel's arrays, and the check, larger
-        e = _entries(spec, z, {name: v.reshape(1) if v.size == 1 else
-                               np.broadcast_to(v, shape)[at][:, None] for name, v in cells.items()})
+    for at, e in _gathered(spec, cells, shape, ~certified, z):
         mean = 0.5 * (e[0][0] + e[1][1])
         mean_max, mean_steps = np.abs(mean).max(axis=-1), np.abs(np.diff(mean, axis=-1))
         del mean
@@ -506,7 +560,7 @@ def _certified(spec: ModelSpec, cells: dict, k0: float, samples: int) -> tuple[n
         settled[at] = (fine & integral & (jump < 0.45 * half_gap) & (half_gap > 1e-6 * scale)
                        & (np.abs(np.sqrt(disc[..., 0]).real) > 1e-6 * scale))
         del disc
-    return nu, settled, certified, slope, low
+    return nu, settled, certified, slope, low, coefficient
 
 
 def _b2_label(nu: int) -> tuple[str, int, Permutation]:
@@ -526,12 +580,13 @@ def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int,
     (canonical word text, exponent sum, closure permutation), or the
     exception the cell failed with. The braid group of two bands is Abelian,
     so a dimer block is gated first by :func:`_certified`, in batches of
-    rows holding about 2^16 coarse-grid samples, each batch one grid.
-    ``table`` lists one label per winding the gate settles, then one entry
-    per cell it leaves (every trimer cell): those cells, which differ in
-    both parameters, go through one call of
+    whole rows holding at most 2^15 // (4m + 1) cells, the samples of the
+    gate's DFT, each batch one grid. ``table`` lists one label per winding
+    the gate settles, then one entry per cell it leaves (every trimer cell):
+    those cells, which differ in both parameters, go through one call of
     :func:`bloch_braids.sweep.dimer_row_classify`. Logs one DEBUG record per
-    block, which counts its certified, fine-checked and tracked cells.
+    block, which counts its cells certified (and of them those certified
+    from the Laurent coefficients alone), fine-checked and tracked.
     """
     if samples < _SAMPLES_MIN:    # the tracker's floor, also where no cell reaches it
         raise ValueError(f"need at least {_SAMPLES_MIN} samples, got {samples}")
@@ -540,14 +595,16 @@ def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int,
     cols, n_rows = len(values), 1 if rows is None else len(rows[1])
     nu = np.zeros(n_rows * cols, dtype=int)
     fast = np.zeros(n_rows * cols, dtype=bool)
-    certified = 0
+    certified = coefficient = 0
     if spec.kind == "dimer":
-        step = max(1, _WINDING_BATCH_SAMPLES // (cols * (_CERT_GRID + 1)))
+        step = max(1, _WINDING_BATCH_SAMPLES // (len(_disc_points(spec)[1]) * cols))
         for r in range(0, n_rows, step):
             at = slice(r * cols, (r + step) * cols)
             grid = {name: values, **{k: v[r:r + step, None] for k, v in row.items()}}
-            nu[at], fast[at], cert = (x.ravel() for x in _certified(spec, grid, k0, samples)[:3])
+            gate = _certified(spec, grid, k0, samples)
+            nu[at], fast[at], cert, _, _, rouche = (x.ravel() for x in gate)
             certified += int(cert.sum())
+            coefficient += int(rouche.sum())
     uniq, inverse = np.unique(nu[fast], return_inverse=True)
     ids = np.empty(len(nu), dtype=np.intp)
     ids[fast] = inverse
@@ -561,9 +618,9 @@ def _classify(spec: ModelSpec, name: str, values, k0: float, samples: int,
                   for res in sweep.dimer_row_classify(
                       spec, {name: values[j], **{k: v[i] for k, v in row.items()}},
                       k0=k0, samples=samples)]
-    _LOG.debug("%s block of %d rows over %s: %d cells, %d certified, %d fine, %d tracked",
-               spec.kind, n_rows, name, len(nu), certified, len(nu) - len(rest) - certified,
-               len(rest))
+    _LOG.debug("%s block of %d rows over %s: %d cells, %d certified (%d from coefficients), "
+               "%d fine, %d tracked", spec.kind, n_rows, name, len(nu), certified, coefficient,
+               len(nu) - len(rest) - certified, len(rest))
     return table, ids, len(rest)
 
 
@@ -804,8 +861,10 @@ def _thread_count(requested: int | None = None) -> int:
             raise ValueError(f"BLOCH_BRAIDS_THREADS must be an integer, got {raw!r}") from None
     if requested < 0:
         raise ValueError(f"{source} must be 0 (automatic) or a worker count, got {requested}")
-    if requested == 0:
-        return max(1, min(8, os.cpu_count() or 1))
+    if requested == 0:     # the CPUs this process may run on, where the OS says
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        return max(1, min(8, cpus or 1))
     return requested
 
 
@@ -895,21 +954,24 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
 
     ``axis1`` and ``axis2`` are :class:`AxisSpec` or (name, start, stop,
     resolution) tuples naming scalar parameters of the template model. The
-    rows of ``axis2`` cells are split into one contiguous block per worker
-    (``threads``, else BLOCH_BRAIDS_THREADS, caps the worker count; 0 means
-    automatic, a negative count raises ``ValueError``), and each block is
-    labelled by :func:`_classify`: a dimer cell that the B_2 gate
-    (:func:`_certified`) settles from its discriminant winding alone, in
-    batches of rows, and every other cell of the block by the rules of
-    :func:`track_bands` and :func:`extract_braid_word`, tracked as one batch
-    and read as one batch: the crossings of every tracked cell of the block
-    are resolved in one pass (a pass per 8192 crossing steps on larger
-    blocks); a cell where they fail is DEGENERATE. ``tracked_cells`` of
-    the result counts the tracked cells, and each block logs one DEBUG
-    record to the ``bloch_braids`` logger, each crossing pass one to its
-    child ``bloch_braids.braid``. The blocks' small label tables are
-    interned after the pool, in row-major order of first appearance, so ids
-    never depend on scheduling. ``k0`` is bounded as in :func:`track_bands`.
+    rows of ``axis2`` cells are dealt to the workers in turn, worker w of W
+    taking rows w, w + W, ... as its block (``threads``, else
+    BLOCH_BRAIDS_THREADS, caps the worker count; 0 means automatic, the
+    CPUs this process may run on, at most 8; a negative count raises
+    ``ValueError``), and each block is labelled by :func:`_classify`: a
+    dimer cell that the B_2 gate (:func:`_certified`) settles from its
+    discriminant winding alone, in batches of whole rows, and every other
+    cell of the block by the rules of :func:`track_bands` and
+    :func:`extract_braid_word`, tracked as one batch and read as one batch:
+    the crossings of every tracked cell of the block are resolved in one
+    pass (a pass per 8192 crossing steps on larger blocks); a cell where
+    they fail is DEGENERATE. ``tracked_cells`` of the result counts the
+    tracked cells, and each block logs one DEBUG record to the
+    ``bloch_braids`` logger, each crossing pass one to its child
+    ``bloch_braids.braid``. The blocks' ids are put back in row-major order,
+    and their small label tables are interned after the pool, in row-major
+    order of first appearance, so ids never depend on scheduling. ``k0`` is
+    bounded as in :func:`track_bands`.
     """
     _check_base_point("k0", k0)
     axis1 = axis1 if isinstance(axis1, AxisSpec) else AxisSpec(*axis1)
@@ -933,17 +995,19 @@ def phase_diagram(template: ModelSpec, axis1, axis2, *,
     def classify_block(rows: np.ndarray) -> tuple[list, np.ndarray, int]:
         return _classify(template, axis2.name, vals2, k0, samples, (axis1.name, rows))
 
-    blocks = [b for b in np.array_split(vals1, _thread_count(threads)) if len(b)]
-    if len(blocks) == 1:
-        done = [classify_block(blocks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            done = list(pool.map(classify_block, blocks))
+    workers = min(_thread_count(threads), len(vals1))
+    if workers == 1:
+        done = [classify_block(vals1)]
+    else:   # worker w gets rows w, w + W, ...: the tracked cells of a plane spread evenly
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(classify_block, (vals1[w::workers] for w in range(workers))))
     index: dict = {}        # label -> its class, in the order of the blocks' tables
-    cells = np.concatenate([np.array([index.setdefault(
-        (DEGENERATE, None, None) if isinstance(lab, Exception) else lab, len(index))
-        for lab in table], dtype=np.intp)[ids] for table, ids, _ in done])
-    classes, first, ids = np.unique(cells, return_index=True, return_inverse=True)
+    cells = np.empty((len(vals1), len(vals2)), dtype=np.intp)
+    for w, (table, ids, _) in enumerate(done):     # back in row-major order
+        cells[w::workers] = np.array([index.setdefault(
+            (DEGENERATE, None, None) if isinstance(lab, Exception) else lab, len(index))
+            for lab in table], dtype=np.intp)[ids].reshape(-1, len(vals2))
+    classes, first, ids = np.unique(cells.ravel(), return_index=True, return_inverse=True)
     order = np.argsort(first)       # the classes in row-major order of first appearance
     labels = list(index)
     return PhaseDiagram(template, axis1, axis2, [labels[c] for c in classes[order].tolist()],

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -783,6 +784,8 @@ def test_phase_diagram_counts_and_logs_the_tracked_cells(fig1_dimer, fig3_trimer
         cells, certified, fine, tracked = (int(re.search(rf"(\d+) {field}", r)[1])
                                            for field in ("cells", "certified", "fine", "tracked"))
         assert certified + fine + tracked == cells
+        # the cells certified from the Laurent coefficients are some of the certified ones
+        assert int(re.search(r"\((\d+) from coefficients\)", r)[1]) <= certified
     assert 1 <= pd.tracked_cells < 39 and len(pd.degenerate_cells()) >= 1
     assert "tracked" not in io.dumps_json(io.phase_diagram_to_json_dict(pd))
     trimer = phase_diagram(fig3_trimer(1.2, 0.5), ("beta", 1.0, 1.2, 2), ("gamma", 0.2, 0.4, 3),
@@ -975,7 +978,8 @@ def test_block_pass_reads_as_the_one_cell_path(cap, monkeypatch):
 
 def test_phase_diagram_gates_a_block_in_batches_of_rows(monkeypatch):
     # no spec is rebuilt per row, and a tall plane of two columns is gated in
-    # batches of about 2^16 // (2 * 129) = 254 rows, not one row at a time
+    # batches of at most 2^15 // 5 = 6553 cells (the m = 1 gate's DFT samples 5
+    # points a cell), 3276 rows, not one row at a time
     from bloch_braids import topology
 
     def rebuilt(*args):
@@ -993,11 +997,44 @@ def test_phase_diagram_gates_a_block_in_batches_of_rows(monkeypatch):
     template = ModelSpec.dimer(1.0, 1.5, 0.3, 1.0)
     pd = phase_diagram(template, ("beta", 1.4, 1.6, 10_000), ("gamma", -1.0, 1.0, 2),
                        samples=64, threads=1)
-    rows = topology._WINDING_BATCH_SAMPLES // (2 * (topology._CERT_GRID + 1))
-    assert len(calls) <= -(-10_000 // rows) and sum(r * c for r, c in calls) == 20_000
+    rows = topology._WINDING_BATCH_SAMPLES // 5 // 2
+    assert len(calls) <= -(-10_000 // rows) < 10_000 and sum(r * c for r, c in calls) == 20_000
+    assert all(r * c <= topology._WINDING_BATCH_SAMPLES // 5 for r, c in calls)
     assert pd.ids.shape == (10_000, 2)
     phase_diagram(ModelSpec.trimer(1.0, 1.0, 0.3, 0.1, 0.7), ("beta", 1.0, 1.2, 2),
                   ("gamma", 0.2, 0.4, 2), threads=1)
+
+
+def test_phase_diagram_deals_rows_to_the_workers_in_turn(monkeypatch):
+    # with two workers, one block holds rows 0, 2, 4, ... and the other rows
+    # 1, 3, 5, ...; the diagram is the one worker's
+    from bloch_braids import topology
+    blocks = []
+    classify = topology._classify
+
+    def recorded(spec, name, values, k0, samples, rows):
+        blocks.append(rows[1])
+        return classify(spec, name, values, k0, samples, rows)
+
+    template = ModelSpec.dimer(1.0, 1.5, 0.3, 1.0)
+    axes = ("beta", 0.5, 2.5, 7), ("gamma", -3.0, 3.0, 13)
+    one = phase_diagram(template, *axes, threads=1)
+    monkeypatch.setattr(topology, "_classify", recorded)
+    two = phase_diagram(template, *axes, threads=2)
+    vals1 = two.axis1.values()
+    assert sorted(b.tolist() for b in blocks) == [vals1[0::2].tolist(), vals1[1::2].tolist()]
+    assert two.labels == one.labels and np.array_equal(two.ids, one.ids)
+
+
+def test_automatic_worker_count_follows_the_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU of a larger machine runs one worker
+    from bloch_braids.topology import _thread_count
+    monkeypatch.delenv("BLOCH_BRAIDS_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _thread_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    assert _thread_count() == 8 and _thread_count(3) == 3
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -1058,7 +1095,7 @@ def test_certified_bounds_hold_on_a_dense_grid(seed, monkeypatch):
     gamma = rng.uniform(-3.0, 3.0, 8)
     k0 = rng.uniform(-4.0, 4.0)
     spec = ModelSpec.dimer(alpha, beta, delta, 0.0, m)
-    nu, settled, cert, slope, low = _certified(spec, {"gamma": gamma}, k0, 512)
+    nu, settled, cert, slope, low = _certified(spec, {"gamma": gamma}, k0, 512)[:5]
     monkeypatch.setattr(topology, "_CERT_MARGIN", math.inf)    # the fine verdict on each cell
     nu_fine, passed = _certified(spec, {"gamma": gamma}, k0, 512)[:2]
     assert not (cert & ~passed).any() and (nu[cert] == nu_fine[cert]).all()
@@ -1072,6 +1109,42 @@ def test_certified_bounds_hold_on_a_dense_grid(seed, monkeypatch):
     steepest = np.abs(np.diff(disc, axis=1)).max(axis=1) / (k[1] - k[0])
     assert (steepest <= slope).all(), steepest - slope
     assert (low <= np.abs(disc).min(axis=1)).all(), low - np.abs(disc).min(axis=1)
+
+
+def test_certificate_stages_are_sound_on_random_slabs(monkeypatch):
+    # seeded random dimer slabs (m = 1-3, random k0, 64m to 1024m samples): every
+    # cell the Rouche stage or the chord bound certifies passes the fine verdict
+    # with the same winding, the lower bound on |D| returned for each cell lies
+    # below its minimum on a 2^14-sample grid, and each stage certifies some cell
+    from bloch_braids import topology
+    from bloch_braids.topology import _certified
+    rng = np.random.default_rng(27)
+    certified_by = np.zeros(2, dtype=int)      # Rouche stage, chord bound
+    k = np.linspace(0.0, 2.0 * np.pi, (1 << 14) + 1)
+    for seed in range(12):
+        m = seed % 3 + 1
+        samples = 64 * m << int(rng.integers(0, 5))
+        alpha, delta = rng.uniform(-2.0, 2.0, 2)
+        beta, gamma = rng.uniform(-2.5, 2.5, (4, 1)), rng.uniform(-3.0, 3.0, 12)
+        k0 = rng.uniform(-4.0, 4.0)
+        spec = ModelSpec.dimer(alpha, 1.0, delta, 0.0, m)
+        cells = {"beta": beta, "gamma": gamma}
+        nu, settled, cert, _, low, rouche = _certified(spec, cells, k0, samples)
+        with monkeypatch.context() as patch:    # both stages off: the fine verdict on each cell
+            patch.setattr(topology, "_CERT_MARGIN", math.inf)
+            nu_fine, passed, none, _, _, no_rouche = _certified(spec, cells, k0, samples)
+        assert not none.any() and not no_rouche.any()
+        assert not (rouche & ~cert).any() and not (cert & ~passed).any()
+        assert (nu[cert] == nu_fine[cert]).all()
+        assert (settled == passed).all() and (nu[settled] == nu_fine[settled]).all()
+        # D = (E1 - E2)^2 / 4 from the momentum-space matrix of the models docstring
+        h11 = 2.0 * delta * np.sin(m * k) + 1j * gamma[:, None]
+        w, b = np.exp(1j * m * k), beta[..., None]
+        disc = (0.5 * h11 + 0.5j * gamma[:, None]) ** 2 + (alpha + b / w) * (alpha + b * w)
+        dense = np.abs(disc).min(axis=-1)
+        assert (low <= dense).all(), (seed, (low - dense).max())
+        certified_by += rouche.sum(), (cert & ~rouche).sum()
+    assert (certified_by >= 1).all(), certified_by
 
 
 # fig1b slabs whose gamma grid (step 0.25) holds every exceptional line of every beta
